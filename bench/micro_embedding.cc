@@ -1,6 +1,5 @@
-// Micro benchmark + ablation: greedy vs spectral linear embedding — wall
-// time and the linear-arrangement objective each achieves on clustered
-// similarity graphs (DESIGN.md §5 design-choice bench).
+// Micro benchmark: greedy linear embedding — wall time and the
+// linear-arrangement objective it achieves on clustered similarity graphs.
 #include <benchmark/benchmark.h>
 
 #include "cluster/pair_scores.h"
@@ -42,32 +41,6 @@ void BM_GreedyEmbedding(benchmark::State& state) {
   state.counters["arrangement_cost"] = cost;
 }
 BENCHMARK(BM_GreedyEmbedding)->Arg(128)->Arg(512)->Arg(2048);
-
-void BM_HierarchyEmbedding(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const cluster::PairScores s = ClusteredScores(n, 4, 3);
-  double cost = 0;
-  for (auto _ : state) {
-    auto order = embed::HierarchyEmbedding(s);
-    cost = embed::ArrangementCost(order, s);
-    benchmark::DoNotOptimize(order);
-  }
-  state.counters["arrangement_cost"] = cost;
-}
-BENCHMARK(BM_HierarchyEmbedding)->Arg(128)->Arg(512)->Arg(2048);
-
-void BM_SpectralEmbedding(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const cluster::PairScores s = ClusteredScores(n, 4, 3);
-  double cost = 0;
-  for (auto _ : state) {
-    auto order = embed::SpectralEmbedding(s);
-    cost = embed::ArrangementCost(order, s);
-    benchmark::DoNotOptimize(order);
-  }
-  state.counters["arrangement_cost"] = cost;
-}
-BENCHMARK(BM_SpectralEmbedding)->Arg(128)->Arg(512)->Arg(2048);
 
 }  // namespace
 }  // namespace topkdup

@@ -123,10 +123,7 @@ BENCHMARK(BM_PruneThreads)
 // Deadline polling overhead: the same collapse/prune work with a
 // never-expiring work budget attached. The delta against the *Threads
 // baselines above is the cost of the cooperative checks and work
-// charging; the perf gate keeps it inside the regression band. Note the
-// deadline-on collapse always takes the shard-local edge path (the serial
-// fast path is reserved for deadline-free runs), so the threads=1 delta
-// includes that structural difference, not just polling.
+// charging; the perf gate keeps it inside the regression band.
 void BM_CollapseDeadline(benchmark::State& state) {
   const Workload& w = Workload::Get();
   ScopedParallelism threads(static_cast<int>(state.range(0)));

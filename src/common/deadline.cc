@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/log.h"
+#include "common/metrics.h"
 
 namespace topkdup {
 
@@ -19,6 +20,26 @@ const char* DeadlineReasonName(DeadlineReason reason) {
       return "cancelled";
   }
   return "unknown";
+}
+
+void MarkDegraded(const Deadline& deadline, const char* stage, int level,
+                  bool partial_stage, DegradationInfo* info) {
+  if (info->degraded) return;
+  info->degraded = true;
+  info->stage = stage;
+  info->level = level;
+  info->reason = deadline.reason();
+  info->work_done = deadline.work_charged();
+  info->work_budget = deadline.work_budget();
+  info->partial_stage = partial_stage;
+  auto& registry = metrics::Registry::Global();
+  registry.GetCounter("deadline.degraded_queries")->Increment();
+  registry.GetCounter(std::string("deadline.stage_stopped.") + stage)
+      ->Increment();
+  TOPKDUP_LOG(Info) << "deadline expired (" << DeadlineReasonName(info->reason)
+                    << ") in stage " << stage
+                    << (level > 0 ? " at level " + std::to_string(level) : "")
+                    << (partial_stage ? " (mid-stage)" : " (stage boundary)");
 }
 
 Deadline Deadline::AfterMillis(int64_t millis) {

@@ -150,7 +150,7 @@ class Deadline {
 struct DegradationInfo {
   bool degraded = false;
   /// Stage that stopped first: "collapse", "lower_bound", "prune",
-  /// "pair_scoring", "segment_dp", "simplex".
+  /// "pair_scoring", "segment_dp", "rank_resolution".
   std::string stage;
   /// 1-based predicate level the stage was working on (0 when the stage is
   /// not per-level, e.g. segmentation).
@@ -165,6 +165,13 @@ struct DegradationInfo {
   /// previous stages' outputs fully consistent.
   bool partial_stage = false;
 };
+
+/// Fills `info` from `deadline` once (the first stop wins) and bumps the
+/// deadline.degraded_queries and deadline.stage_stopped.<stage> counters.
+/// `level` is the 1-based predicate level, 0 for stages that are not
+/// per-level.
+void MarkDegraded(const Deadline& deadline, const char* stage, int level,
+                  bool partial_stage, DegradationInfo* info);
 
 /// Registers the calling scope as this thread's sink for soft failures
 /// reported by code with no Status return channel (the thread pool's

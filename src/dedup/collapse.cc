@@ -25,8 +25,8 @@ metrics::Counter* PairEvalCounter() {
 
 /// Sufficient-predicate edges among positions [begin, end) x candidates.
 /// Each shard carries a local union-find so pairs already merged
-/// transitively *within the shard* skip the predicate, mirroring the
-/// serial fast path; cross-shard redundancy is resolved at merge time.
+/// transitively *within the shard* skip the predicate; cross-shard
+/// redundancy is resolved at merge time.
 /// The final closure is a set partition, so edge order and the extra
 /// cross-shard edges cannot change the output.
 void CollectEdges(const predicates::BlockedIndex& index,
@@ -70,30 +70,16 @@ std::vector<Group> Collapse(const std::vector<Group>& groups,
 
   const predicates::IndexHandle index_handle(index_cache, sufficient, reps);
   const predicates::BlockedIndex& index = index_handle.get();
+  const std::vector<Edge> edges = ParallelReduce<std::vector<Edge>>(
+      0, n, DefaultGrain(n),
+      [&](size_t b, size_t e, std::vector<Edge>* out) {
+        CollectEdges(index, sufficient, reps, b, e, deadline, out);
+      },
+      [](std::vector<Edge>* total, std::vector<Edge>&& shard) {
+        total->insert(total->end(), shard.begin(), shard.end());
+      });
   UnionFind uf(n);
-  if (deadline == nullptr && ParallelismLevel() <= 1) {
-    // Serial fast path: one global union-find skips every transitively
-    // merged pair before the (possibly expensive) predicate runs.
-    predicates::BlockedIndex::QueryScratch scratch;
-    size_t evals = 0;
-    index.ForEachCandidatePairInRange(0, n, &scratch,
-                                      [&](size_t p, size_t q) {
-      if (uf.Find(p) == uf.Find(q)) return;
-      ++evals;
-      if (sufficient.Evaluate(reps[p], reps[q])) uf.Union(p, q);
-    });
-    PairEvalCounter()->Add(evals);
-  } else {
-    const std::vector<Edge> edges = ParallelReduce<std::vector<Edge>>(
-        0, n, DefaultGrain(n),
-        [&](size_t b, size_t e, std::vector<Edge>* out) {
-          CollectEdges(index, sufficient, reps, b, e, deadline, out);
-        },
-        [](std::vector<Edge>* total, std::vector<Edge>&& shard) {
-          total->insert(total->end(), shard.begin(), shard.end());
-        });
-    for (const auto& [p, q] : edges) uf.Union(p, q);
-  }
+  for (const auto& [p, q] : edges) uf.Union(p, q);
 
   // Every union drops the set count by one, so merges == records collapsed
   // away at this level (the paper's n column moving).

@@ -22,19 +22,20 @@ namespace topkdup::dedup {
 /// constituent; weights and member lists are unioned. The result is sorted
 /// by decreasing weight.
 ///
+/// The closure is computed shard by shard over a thread-count-independent
+/// shard layout, so the evaluated pairs, the charged work and the output
+/// are identical at any thread count.
+///
 /// When `recorder` is non-null it receives the collapse summary plus
 /// sampled merge events. Merges are reported from the final set partition
-/// (not edge discovery order), so the recorded events are identical
-/// whether the closure was computed serially or in parallel.
+/// (not edge discovery order), so the recorded events are deterministic.
 ///
 /// When `deadline` is non-null it is polled at shard boundaries; on expiry
 /// the remaining shards contribute no edges and the function returns the
 /// partial closure. An under-collapsed partition is still a valid
 /// partition (entities are merely split, never wrongly merged), so every
 /// downstream bound stays sound. Predicate evaluations are charged to the
-/// deadline as work units; with a deadline present the closure always runs
-/// the shard-local edge-collection path (even single-threaded) so the
-/// charged work is identical at any thread count.
+/// deadline as work units.
 /// `index_cache`, when non-null, shares the blocking index for the group
 /// representatives across calls (resident serving); null builds a
 /// call-local index, exactly as before.

@@ -51,31 +51,6 @@ struct StageCounters {
 
 }  // namespace
 
-namespace {
-
-/// Fills the result's DegradationInfo once (the first stop wins) and bumps
-/// the topkdup_deadline_* metrics.
-void MarkDegraded(const Deadline& deadline, const char* stage, int level,
-                  bool partial_stage, DegradationInfo* info) {
-  if (info->degraded) return;
-  info->degraded = true;
-  info->stage = stage;
-  info->level = level;
-  info->reason = deadline.reason();
-  info->work_done = deadline.work_charged();
-  info->work_budget = deadline.work_budget();
-  info->partial_stage = partial_stage;
-  auto& registry = metrics::Registry::Global();
-  registry.GetCounter("deadline.degraded_queries")->Increment();
-  registry.GetCounter(std::string("deadline.stage_stopped.") + stage)
-      ->Increment();
-  TOPKDUP_LOG(Info) << "deadline expired (" << DeadlineReasonName(info->reason)
-                    << ") in stage " << stage << " at level " << level
-                    << (partial_stage ? " (mid-stage)" : " (stage boundary)");
-}
-
-}  // namespace
-
 StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
     std::vector<Group> groups, const std::vector<PredicateLevel>& levels,
     const PrunedDedupOptions& options) {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/check.h"
-
 namespace topkdup::dedup {
 
 StreamingCollapse::StreamingCollapse(SufficientFn sufficient)
@@ -12,65 +10,36 @@ StreamingCollapse::StreamingCollapse(SufficientFn sufficient)
 
 size_t StreamingCollapse::Insert(const std::vector<std::string>& signature,
                                  double weight) {
-  const size_t id = weights_.size();
+  const size_t id = uf_.Add();
   weights_.push_back(weight);
-  group_weight_.push_back(weight);
 
-  // Grow the union-find by one element. UnionFind has fixed size, so keep
-  // a doubling strategy: rebuild preserving unions when capacity runs out.
-  // Roots can change across the rebuild, so the root-indexed group-weight
-  // cache is recomputed from the per-record weights (amortized O(1) per
-  // insert thanks to doubling).
-  if (uf_.element_count() <= id) {
-    UnionFind bigger(std::max<size_t>(16, uf_.element_count() * 2 + 1));
-    for (size_t x = 0; x < id && x < uf_.element_count(); ++x) {
-      bigger.Union(x, uf_.Find(x));
-    }
-    uf_ = std::move(bigger);
-    group_weight_.assign(weights_.size(), 0.0);
-    for (size_t x = 0; x < id; ++x) {
-      group_weight_[uf_.Find(x)] += weights_[x];
-    }
-    group_weight_[uf_.Find(id)] += weights_[id];
+  // Earlier records sharing at least one token, each evaluated once.
+  std::vector<size_t> candidates;
+  for (const std::string& token : signature) {
+    const auto it = postings_.find(token);
+    if (it == postings_.end()) continue;
+    candidates.insert(candidates.end(), it->second.begin(), it->second.end());
+  }
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
+  for (size_t other : candidates) {
+    if (uf_.Find(id) == uf_.Find(other)) continue;  // Merged transitively.
+    if (sufficient_(id, other)) uf_.Union(id, other);
   }
 
-  const std::vector<text::TokenId> tokens = vocab_.InternSet(signature);
-  index_.ForEachCandidate(
-      static_cast<int64_t>(id), tokens, /*min_common=*/1,
-      [&](int64_t other, int) {
-        const size_t other_id = static_cast<size_t>(other);
-        const size_t root_a = uf_.Find(id);
-        const size_t root_b = uf_.Find(other_id);
-        if (root_a == root_b) return;
-        if (sufficient_(id, other_id)) {
-          const double merged =
-              group_weight_[root_a] + group_weight_[root_b];
-          uf_.Union(id, other_id);
-          group_weight_[uf_.Find(id)] = merged;
-        }
-      });
-  index_.Add(static_cast<int64_t>(id), tokens);
+  for (const std::string& token : signature) {
+    std::vector<size_t>& ids = postings_[token];
+    // A token repeated within one signature is posted once.
+    if (ids.empty() || ids.back() != id) ids.push_back(id);
+  }
   return uf_.Find(id);
 }
 
-double StreamingCollapse::GroupWeight(size_t id) {
-  TOPKDUP_CHECK(id < weights_.size());
-  return group_weight_[uf_.Find(id)];
-}
-
 std::vector<StreamingCollapse::GroupView> StreamingCollapse::Groups() {
-  std::vector<std::vector<size_t>> by_root = uf_.Groups();
   std::vector<GroupView> out;
-  out.reserve(by_root.size());
-  for (std::vector<size_t>& members : by_root) {
-    // Groups() of the doubled union-find includes padding elements with
-    // ids beyond the inserted records; drop them.
-    members.erase(std::remove_if(members.begin(), members.end(),
-                                 [&](size_t m) {
-                                   return m >= weights_.size();
-                                 }),
-                  members.end());
-    if (members.empty()) continue;
+  out.reserve(uf_.set_count());
+  for (std::vector<size_t>& members : uf_.Groups()) {
     GroupView view;
     for (size_t m : members) view.weight += weights_[m];
     view.members = std::move(members);

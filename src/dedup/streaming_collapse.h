@@ -3,22 +3,21 @@
 
 #include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "dedup/union_find.h"
-#include "text/inverted_index.h"
-#include "text/vocab.h"
 
 namespace topkdup::dedup {
 
 /// Incrementally maintains the sufficient-predicate collapse (§4.1) of an
 /// append-only mention stream: the transitive closure only grows under
-/// insertion, so each new record unions with matching earlier records via
-/// an inverted index over its blocking signature — no batch recollapse.
+/// insertion, so each new record unions with the matching earlier records
+/// that share a blocking-signature token with it — no batch recollapse.
 ///
 /// The caller supplies the blocking signature (token strings) and the
 /// exact sufficient decision for a pair of record ids; the class owns the
-/// union-find, the index, and group weights.
+/// union-find and the token -> earlier-records map.
 class StreamingCollapse {
  public:
   using SufficientFn = std::function<bool(size_t, size_t)>;
@@ -29,24 +28,20 @@ class StreamingCollapse {
 
   /// Registers record `id` (ids must be inserted consecutively from 0)
   /// with the given blocking signature and weight, merging it into any
-  /// existing group whose member matches the sufficient predicate.
-  /// Returns the record's current group root.
+  /// existing group whose member matches the sufficient predicate. The
+  /// predicate runs at most once per distinct earlier record, and never
+  /// on a record already in the new record's group. Returns the record's
+  /// current group root.
   size_t Insert(const std::vector<std::string>& signature, double weight);
 
   size_t record_count() const { return weights_.size(); }
 
-  /// Number of groups among the inserted records. (The union-find holds
-  /// spare capacity from doubling; its padding elements are always
-  /// singleton sets and are excluded here.)
-  size_t group_count() const {
-    return uf_.set_count() - (uf_.element_count() - weights_.size());
-  }
+  /// Number of groups among the inserted records.
+  size_t group_count() const { return uf_.set_count(); }
 
-  /// Total weight of the group containing record `id`.
-  double GroupWeight(size_t id);
-
-  /// Materializes the current groups: members per group, each with its
-  /// total weight, sorted by decreasing weight.
+  /// Materializes the current groups: members per group (ascending), each
+  /// with its total weight, sorted by decreasing weight (ties by smallest
+  /// member).
   struct GroupView {
     double weight = 0.0;
     std::vector<size_t> members;
@@ -55,11 +50,10 @@ class StreamingCollapse {
 
  private:
   SufficientFn sufficient_;
-  text::Vocabulary vocab_;
-  text::InvertedIndex index_;
+  /// Signature token -> ids of the earlier records carrying it (ascending).
+  std::unordered_map<std::string, std::vector<size_t>> postings_;
   UnionFind uf_{0};
-  std::vector<double> weights_;        // Per record.
-  std::vector<double> group_weight_;   // Per root (upkept on union).
+  std::vector<double> weights_;  // Per record.
 };
 
 }  // namespace topkdup::dedup

@@ -12,6 +12,14 @@ UnionFind::UnionFind(size_t n)
   std::iota(parent_.begin(), parent_.end(), size_t{0});
 }
 
+size_t UnionFind::Add() {
+  const size_t id = parent_.size();
+  parent_.push_back(id);
+  size_.push_back(1);
+  ++set_count_;
+  return id;
+}
+
 size_t UnionFind::Find(size_t x) {
   TOPKDUP_CHECK(x < parent_.size());
   size_t root = x;

@@ -13,6 +13,10 @@ class UnionFind {
  public:
   explicit UnionFind(size_t n);
 
+  /// Appends a new singleton element and returns its id (the previous
+  /// element_count()).
+  size_t Add();
+
   /// Root of x's set (with path compression).
   size_t Find(size_t x);
 

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
-#include "cluster/agglomerative.h"
 #include "common/check.h"
-#include "common/rng.h"
 
 namespace topkdup::embed {
 
@@ -117,79 +114,6 @@ double ArrangementCost(const std::vector<size_t>& order,
     }
   }
   return cost;
-}
-
-std::vector<size_t> HierarchyEmbedding(const cluster::PairScores& scores,
-                                       size_t max_items) {
-  auto result = cluster::Agglomerate(scores, cluster::Linkage::kAverage,
-                                     /*stop_threshold=*/0.0, max_items);
-  if (!result.ok()) return GreedyEmbedding(scores);
-  return cluster::DendrogramLeafOrder(result.value().merges,
-                                      scores.item_count());
-}
-
-std::vector<size_t> SpectralEmbedding(const cluster::PairScores& scores,
-                                      const SpectralEmbeddingOptions& options) {
-  const size_t n = scores.item_count();
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), size_t{0});
-  if (n <= 2) return order;
-
-  // Positive-part similarity graph, degrees, Laplacian spectral bound.
-  std::vector<double> degree(n, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    for (const auto& [j, s] : scores.Neighbors(i)) {
-      (void)j;
-      if (s > 0.0) degree[i] += s;
-    }
-  }
-  double max_degree = 0.0;
-  for (double d : degree) max_degree = std::max(max_degree, d);
-  const double shift = 2.0 * max_degree + 1.0;
-
-  // Power iteration on M = shift*I - L restricted to the space orthogonal
-  // to the constant vector; the dominant eigenvector there is the Fiedler
-  // vector of L.
-  Rng rng(options.seed);
-  std::vector<double> v(n);
-  for (double& x : v) x = rng.NextDouble() - 0.5;
-  std::vector<double> next(n);
-
-  auto orthogonalize_and_normalize = [&](std::vector<double>* vec) {
-    double mean = 0.0;
-    for (double x : *vec) mean += x;
-    mean /= static_cast<double>(n);
-    double norm = 0.0;
-    for (double& x : *vec) {
-      x -= mean;
-      norm += x * x;
-    }
-    norm = std::sqrt(norm);
-    if (norm > 1e-12) {
-      for (double& x : *vec) x /= norm;
-    }
-  };
-  orthogonalize_and_normalize(&v);
-
-  for (int it = 0; it < options.power_iterations; ++it) {
-    // next = (shift*I - L) v = shift*v - D v + W v.
-    for (size_t i = 0; i < n; ++i) {
-      next[i] = (shift - degree[i]) * v[i];
-    }
-    for (size_t i = 0; i < n; ++i) {
-      for (const auto& [j, s] : scores.Neighbors(i)) {
-        if (s > 0.0) next[i] += s * v[j];
-      }
-    }
-    orthogonalize_and_normalize(&next);
-    v.swap(next);
-  }
-
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (v[a] != v[b]) return v[a] < v[b];
-    return a < b;
-  });
-  return order;
 }
 
 }  // namespace topkdup::embed

@@ -33,31 +33,9 @@ std::vector<size_t> GreedyEmbedding(const cluster::PairScores& scores,
 
 /// The linear-arrangement objective sum_{i<j} |pos_i - pos_j| * max(P_ij, 0)
 /// that embeddings try to minimize (paper §5.3.1). Used by tests and the
-/// embedding ablation bench to compare orderings.
+/// embedding micro bench to score orderings.
 double ArrangementCost(const std::vector<size_t>& order,
                        const cluster::PairScores& scores);
-
-/// Hierarchy-induced embedding (paper §5.2): run average-link agglomerative
-/// clustering to a full dendrogram and read the leaves left-to-right. The
-/// paper notes segmentations of such an order strictly generalize frontier
-/// groupings of the hierarchy. O(n^2) memory — intended for comparisons on
-/// moderate inputs; falls back to the greedy embedding when the input
-/// exceeds `max_items`.
-std::vector<size_t> HierarchyEmbedding(const cluster::PairScores& scores,
-                                       size_t max_items = 4096);
-
-struct SpectralEmbeddingOptions {
-  int power_iterations = 300;
-  uint64_t seed = 42;
-};
-
-/// Spectral linear embedding (the alternative cited in §5.3.1): items are
-/// sorted by their coordinate in the Fiedler vector (second-smallest
-/// eigenvector of the Laplacian of the positive-score similarity graph),
-/// computed by power iteration with deflation of the constant vector.
-/// O(n^2) per iteration; intended for the ablation bench and comparisons.
-std::vector<size_t> SpectralEmbedding(const cluster::PairScores& scores,
-                                      const SpectralEmbeddingOptions& options = {});
 
 }  // namespace topkdup::embed
 

@@ -97,11 +97,8 @@ const char* ServedOutcomeName(ServedOutcome outcome) {
 /// and never removed, so raw pointers into the map stay valid for the
 /// service lifetime.
 struct QueryService::DatasetState {
-  DatasetState(std::string name_in, const BreakerOptions& breaker_options,
-               size_t cache_capacity)
-      : name(std::move(name_in)),
-        breaker(breaker_options),
-        answer_cache(cache_capacity) {}
+  DatasetState(std::string name_in, const BreakerOptions& breaker_options)
+      : name(std::move(name_in)), breaker(breaker_options) {}
 
   std::string name;
   bool online = false;
@@ -295,8 +292,7 @@ Status QueryService::RegisterDataset(std::string name, DatasetBundle bundle) {
   if (!bundle.scorer) {
     return Status::InvalidArgument("RegisterDataset: scorer must be set");
   }
-  auto state = std::make_unique<DatasetState>(name, options_.breaker,
-                                              options_.cache.capacity);
+  auto state = std::make_unique<DatasetState>(name, options_.breaker);
   state->bundle = std::move(bundle);
   state->breaker_gauge = metrics::Registry::Global().GetGauge(
       "serve.breaker_state." + name);
@@ -324,8 +320,7 @@ Status QueryService::RegisterOnline(std::string name,
   if (stream == nullptr) {
     return Status::InvalidArgument("RegisterOnline: stream must be set");
   }
-  auto state = std::make_unique<DatasetState>(name, options_.breaker,
-                                              options_.cache.capacity);
+  auto state = std::make_unique<DatasetState>(name, options_.breaker);
   state->online = true;
   state->stream = std::move(stream);
   state->breaker_gauge = metrics::Registry::Global().GetGauge(
@@ -633,7 +628,7 @@ std::future<QueryResponse> QueryService::Submit(QueryRequest request) {
     pending->cache_disposition = "miss";
   }
 
-  if (options_.shed_on_predicted_miss && req.work_budget == 0) {
+  if (req.work_budget == 0) {
     // Primary estimate: the dataset's measured cost model (EWMA CPU and
     // work units from attributed attempts). Wall p50 only until the
     // model's first observation lands.
@@ -941,14 +936,13 @@ StatusOr<QueryResponse> QueryService::RunOnce(DatasetState& ds,
     return response;
   }
 
-  topk::TopKCountOptions query_options = options_.count_defaults;
+  topk::TopKCountOptions query_options;
   query_options.r = request.r;
   query_options.deadline = &deadline;
   query_options.query_id = query_id;
   // Slow-query capture needs an explain report to snapshot, so arm one
-  // (sampled) whenever slow detection is on and the caller's defaults
-  // didn't already ask for it.
-  if (request_log_->slow_enabled() && !query_options.explain) {
+  // (sampled) whenever slow detection is on.
+  if (request_log_->slow_enabled()) {
     query_options.explain = true;
     query_options.explain_sample_rate =
         options_.request_log.slow_explain_sample_rate;

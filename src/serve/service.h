@@ -165,13 +165,6 @@ struct ServiceOptions {
   int64_t default_deadline_ms = 1000;
   /// Upper clamp on any caller-requested budget.
   int64_t max_deadline_ms = 10000;
-  /// Reject a request up front (ResourceExhausted) when its budget cannot
-  /// cover the dataset's measured execution cost. The prediction comes
-  /// from the dataset's CostModel (EWMA of attributed CPU, wall time, and
-  /// work units, expressed as CPU per candidate pair / per posting
-  /// decoded); until the model has a sample the observed wall p50 is the
-  /// fallback. The refusal message cites the measured unit costs used.
-  bool shed_on_predicted_miss = true;
   /// Retry/backoff schedule for transient (Internal) failures.
   RetryPolicy retry;
   /// Per-dataset circuit breaker configuration.
@@ -179,10 +172,6 @@ struct ServiceOptions {
   /// Run one calibration query at registration to seed the dataset's cost
   /// estimate and the bounds cache the breaker serves while open.
   bool calibrate_on_register = true;
-  /// Defaults applied to every count query (k, r, and deadline are always
-  /// overridden per request; threads stays 0 — the service must not fight
-  /// over the process-wide parallelism).
-  topk::TopKCountOptions count_defaults;
   /// prune_passes applied to rank queries.
   int rank_prune_passes = 2;
   /// Wide-event request logging (serve/request_log.h): one JSON line per
@@ -217,10 +206,9 @@ struct ServiceOptions {
   /// *populated* by exact count answers (it is also the breaker's
   /// bounds-only fallback); `enabled` gates only whether the normal
   /// serving path consults it before executing.
+  /// Each dataset caches up to 32 query shapes (LRU beyond that).
   struct CacheOptions {
     bool enabled = true;
-    /// Cached query shapes per dataset (LRU beyond this).
-    size_t capacity = 32;
   };
   CacheOptions cache;
   /// Epoch publication batching for online ingest. 0 publishes a fresh
@@ -278,8 +266,12 @@ struct HealthSnapshot {
 ///   3. Circuit breaker: an open breaker short-circuits to a bounds-only
 ///      cached answer (kBreakerDegraded) or FailedPrecondition — the
 ///      request never occupies a queue slot.
-///   4. Predicted-miss shed: budget < observed p50 execution cost →
-///      ResourceExhausted up front rather than queued to die.
+///   4. Predicted-miss shed (requests without a work budget): budget <
+///      the dataset's measured execution cost → ResourceExhausted up
+///      front rather than queued to die. The prediction is the dataset's
+///      CostModel (EWMA CPU per candidate pair / per posting decoded);
+///      the observed wall p50 stands in until the model has a sample.
+///      The refusal message cites the measured unit costs used.
 ///   5. Bounded queue: when full, the *oldest* waiting request is evicted
 ///      (ResourceExhausted) in favor of the arrival — combined with
 ///      workers popping newest-first (LIFO), fresh requests with live

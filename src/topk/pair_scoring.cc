@@ -54,13 +54,9 @@ cluster::PairScores BuildGroupPairScores(
           ++enumerated;
           if (!necessary.Evaluate(reps[p], reps[q])) return;
           ++scored;
-          double s = scorer(reps[p], reps[q]);
-          if (options.aggregate ==
-              PairScoringOptions::Aggregate::kWeightProduct) {
-            s *= groups[p].weight * groups[q].weight;
-          }
           out->emplace_back(static_cast<uint32_t>(p),
-                            static_cast<uint32_t>(q), s);
+                            static_cast<uint32_t>(q),
+                            scorer(reps[p], reps[q]));
         });
         pairs_enumerated->Add(enumerated);
         pair_evals->Add(enumerated);  // Every enumerated pair runs N_L.

@@ -162,15 +162,9 @@ StatusOr<TopKRankResult> TopKRankQuery(
     result.ranked.push_back(std::move(rg));
   }
   result.degradation = pruning.degradation;
-  if (!resolution_complete && !result.degradation.degraded) {
-    result.degradation.degraded = true;
-    result.degradation.stage = "rank_resolution";
-    result.degradation.reason = options.deadline->reason();
-    result.degradation.partial_stage = true;
-    result.degradation.work_done = options.deadline->work_charged();
-    result.degradation.work_budget =
-        options.deadline->has_work_budget() ? options.deadline->work_budget()
-                                            : 0;
+  if (!resolution_complete) {
+    MarkDegraded(*options.deadline, "rank_resolution", /*level=*/0,
+                 /*partial_stage=*/true, &result.degradation);
   }
   result.pruning = std::move(pruning);
   if (soft_fail.triggered()) return soft_fail.status();

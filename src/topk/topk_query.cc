@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "common/faultpoint.h"
-#include "common/log.h"
 #include "common/parallel.h"
 #include "common/strings.h"
 #include "common/trace.h"
@@ -38,27 +37,6 @@ AnswerGroup MergeSpan(const segment::Span& span,
     }
   }
   return out;
-}
-
-/// Query-level twin of PrunedDedup's MarkDegraded for the stages that run
-/// above the dedup pipeline (pair scoring, segmentation). First stop wins.
-void MarkQueryDegraded(const Deadline& deadline, const char* stage,
-                       bool partial_stage, DegradationInfo* info) {
-  if (info->degraded) return;
-  info->degraded = true;
-  info->stage = stage;
-  info->level = 0;
-  info->reason = deadline.reason();
-  info->work_done = deadline.work_charged();
-  info->work_budget = deadline.work_budget();
-  info->partial_stage = partial_stage;
-  auto& registry = metrics::Registry::Global();
-  registry.GetCounter("deadline.degraded_queries")->Increment();
-  registry.GetCounter(std::string("deadline.stage_stopped.") + stage)
-      ->Increment();
-  TOPKDUP_LOG(Info) << "deadline expired (" << DeadlineReasonName(info->reason)
-                    << ") in stage " << stage
-                    << (partial_stage ? " (mid-stage)" : " (stage boundary)");
 }
 
 /// Synthesizes the best bound-carrying answer available once the pipeline
@@ -293,8 +271,8 @@ StatusOr<TopKCountResult> TopKCountQuery(
       BuildGroupPairScores(groups, necessary, scorer, scoring_options);
   if (soft_fail.triggered()) return soft_fail.status();
   if (deadline != nullptr && deadline->Expired()) {
-    MarkQueryDegraded(*deadline, "pair_scoring", /*partial_stage=*/true,
-                      &result.degradation);
+    MarkDegraded(*deadline, "pair_scoring", /*level=*/0,
+                 /*partial_stage=*/true, &result.degradation);
     result.quality = AnswerQuality::kBoundsOnly;
     if (recorder != nullptr) {
       recorder->RecordDegradation(result.degradation);
@@ -339,10 +317,10 @@ StatusOr<TopKCountResult> TopKCountQuery(
       segment::TopKSegmentation(seg_scorer, order, weights, dp_options));
   dp_span.AddArg("answers", static_cast<int64_t>(dp_answers.size()));
   if (deadline != nullptr && (deadline->expired() || seg_scorer.degraded())) {
-    MarkQueryDegraded(*deadline, "segment_dp",
-                      /*partial_stage=*/seg_scorer.degraded() ||
-                          dp_answers.empty(),
-                      &result.degradation);
+    MarkDegraded(*deadline, "segment_dp", /*level=*/0,
+                 /*partial_stage=*/seg_scorer.degraded() ||
+                     dp_answers.empty(),
+                 &result.degradation);
     if (recorder != nullptr) {
       recorder->RecordDegradation(result.degradation);
     }

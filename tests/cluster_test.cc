@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "cluster/agglomerative.h"
 #include "cluster/baselines.h"
 #include "cluster/correlation.h"
 #include "cluster/exact_partition.h"
@@ -160,57 +159,6 @@ TEST(ComponentsTest, StoredPairsLinkRegardlessOfSign) {
   EXPECT_EQ(comps[0].size(), 3u);
   EXPECT_EQ(comps[1].size(), 1u);
   EXPECT_EQ(comps[2].size(), 2u);
-}
-
-TEST(AgglomerativeTest, SingleAndAverageLink) {
-  // Unstored pairs carry a slight repulsion so the two blocks stay apart
-  // under the 0.0 stop threshold.
-  PairScores s(4, -0.1);
-  s.Set(0, 1, 3.0);
-  s.Set(2, 3, 2.0);
-  s.Set(1, 2, -4.0);
-  for (Linkage linkage : {Linkage::kSingle, Linkage::kAverage}) {
-    auto result = Agglomerate(s, linkage, 0.0);
-    ASSERT_TRUE(result.ok());
-    const Labels& labels = result.value().labels;
-    EXPECT_EQ(labels[0], labels[1]);
-    EXPECT_EQ(labels[2], labels[3]);
-    EXPECT_NE(labels[0], labels[2]);
-    // Full dendrogram always has n-1 merges.
-    EXPECT_EQ(result.value().merges.size(), 3u);
-  }
-}
-
-TEST(AgglomerativeTest, LeafOrderIsPermutation) {
-  Rng rng(7);
-  PairScores s(8);
-  for (size_t i = 0; i < 8; ++i) {
-    for (size_t j = i + 1; j < 8; ++j) {
-      if (rng.Bernoulli(0.5)) s.Set(i, j, rng.NextDouble() * 2 - 0.5);
-    }
-  }
-  auto result = Agglomerate(s, Linkage::kAverage, 0.0);
-  ASSERT_TRUE(result.ok());
-  auto order = DendrogramLeafOrder(result.value().merges, 8);
-  std::vector<size_t> sorted = order;
-  std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(sorted, (std::vector<size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
-}
-
-TEST(AgglomerativeTest, RejectsOversizedInput) {
-  PairScores s(100);
-  EXPECT_FALSE(Agglomerate(s, Linkage::kSingle, 0.0, /*max_items=*/50).ok());
-}
-
-TEST(AgglomerativeTest, SizeZeroAndOne) {
-  PairScores s0(0);
-  auto r0 = Agglomerate(s0, Linkage::kSingle, 0.0);
-  ASSERT_TRUE(r0.ok());
-  EXPECT_TRUE(r0.value().labels.empty());
-  PairScores s1(1);
-  auto r1 = Agglomerate(s1, Linkage::kSingle, 0.0);
-  ASSERT_TRUE(r1.ok());
-  EXPECT_EQ(r1.value().labels, (Labels{0}));
 }
 
 // Property: the exact partition never scores below the heuristics.

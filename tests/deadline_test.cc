@@ -10,6 +10,7 @@
 #include <optional>
 #include <thread>
 
+#include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/timer.h"
 #include "datagen/citation_gen.h"
@@ -132,6 +133,39 @@ TEST(SoftFailHandlerTest, ParallelWorkersInheritLaunchingThreadsHandler) {
 /// Shared pipeline fixture over certified citation data: the generator
 /// guarantees S1/S2 never merge across entities and N1/N2 hold on every
 /// duplicate pair, so ground-truth entity counts are recoverable.
+/// Delegates to `inner` and cancels `token` (when set) on every evaluation
+/// after the first `limit`: lets a test expire a deadline at a chosen
+/// point inside the pipeline.
+class CancelAfterPredicate : public predicates::PairPredicate {
+ public:
+  CancelAfterPredicate(const predicates::PairPredicate* inner,
+                       CancelToken* token, uint64_t limit)
+      : inner_(inner), token_(token), limit_(limit) {}
+
+  std::string_view name() const override { return inner_->name(); }
+  bool Evaluate(size_t a, size_t b) const override {
+    if (evals_.fetch_add(1, std::memory_order_relaxed) >= limit_ &&
+        token_ != nullptr) {
+      token_->Cancel();
+    }
+    return inner_->Evaluate(a, b);
+  }
+  const std::vector<text::TokenId>& Signature(size_t rec) const override {
+    return inner_->Signature(rec);
+  }
+  int MinCommon(size_t size_a, size_t size_b) const override {
+    return inner_->MinCommon(size_a, size_b);
+  }
+
+  uint64_t evals() const { return evals_.load(std::memory_order_relaxed); }
+
+ private:
+  const predicates::PairPredicate* inner_;
+  CancelToken* token_;
+  uint64_t limit_;
+  mutable std::atomic<uint64_t> evals_{0};
+};
+
 class DeadlinePipelineTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -456,6 +490,54 @@ TEST_F(DeadlinePipelineTest, RankQueryDegradesSoundlyUnderWorkBudget) {
       }
     }
   }
+}
+
+TEST_F(DeadlinePipelineTest, RankResolutionExpiryCountsAsDegradedQuery) {
+  // Count the last level's necessary evaluations PrunedDedup makes for
+  // this rank query. Cancelling on the next one expires the deadline
+  // inside the §7.1 resolution step, after pruning finished cleanly.
+  CancelAfterPredicate probe(&*n2_, /*token=*/nullptr,
+                             std::numeric_limits<uint64_t>::max());
+  CancelToken never;
+  Deadline probe_deadline;
+  probe_deadline.set_cancel_token(&never);
+  dedup::PrunedDedupOptions prune_options;
+  prune_options.k = 10;
+  prune_options.prune_passes = topk::TopKRankOptions{}.prune_passes;
+  prune_options.exact_bounds = true;
+  prune_options.deadline = &probe_deadline;
+  ASSERT_TRUE(dedup::PrunedDedup(data_, {{&*s1_, &*n1_}, {&*s2_, &probe}},
+                                 prune_options)
+                  .ok());
+
+  CancelToken token;
+  CancelAfterPredicate n2(&*n2_, &token, probe.evals());
+  Deadline deadline;
+  deadline.set_cancel_token(&token);
+  auto& registry = metrics::Registry::Global();
+  metrics::Counter* degraded =
+      registry.GetCounter("deadline.degraded_queries");
+  metrics::Counter* stopped =
+      registry.GetCounter("deadline.stage_stopped.rank_resolution");
+  const uint64_t degraded_before = degraded->Value();
+  const uint64_t stopped_before = stopped->Value();
+
+  topk::TopKRankOptions options;
+  options.k = 10;
+  options.deadline = &deadline;
+  auto result_or =
+      topk::TopKRankQuery(data_, {{&*s1_, &*n1_}, {&*s2_, &n2}}, options);
+  ASSERT_TRUE(result_or.ok());
+  const topk::TopKRankResult& result = result_or.value();
+  EXPECT_FALSE(result.pruning.degradation.degraded);
+  ASSERT_TRUE(result.degradation.degraded);
+  EXPECT_EQ(result.degradation.stage, "rank_resolution");
+  EXPECT_EQ(result.degradation.level, 0);
+  EXPECT_EQ(result.degradation.reason, DeadlineReason::kCancelled);
+  EXPECT_TRUE(result.degradation.partial_stage);
+  EXPECT_FALSE(result.ranked.empty());
+  EXPECT_EQ(degraded->Value() - degraded_before, 1u);
+  EXPECT_EQ(stopped->Value() - stopped_before, 1u);
 }
 
 TEST_F(DeadlinePipelineTest, OnlineQueryDegradesSoundlyUnderWorkBudget) {

@@ -99,58 +99,5 @@ TEST(GreedyEmbeddingTest, BeatsRandomOrderOnBlockData) {
   EXPECT_LE(ArrangementCost(greedy, s), ArrangementCost(random_order, s));
 }
 
-TEST(SpectralEmbeddingTest, ReturnsPermutationAndSeparatesBlocks) {
-  PairScores s(8);
-  for (size_t i = 0; i < 4; ++i) {
-    for (size_t j = i + 1; j < 4; ++j) s.Set(i, j, 2.0);
-  }
-  for (size_t i = 4; i < 8; ++i) {
-    for (size_t j = i + 1; j < 8; ++j) s.Set(i, j, 2.0);
-  }
-  s.Set(3, 4, 0.1);  // Weak bridge keeps the graph connected.
-  auto order = SpectralEmbedding(s);
-  ASSERT_TRUE(IsPermutation(order, 8));
-  // The Fiedler vector must place one block wholly before the other.
-  std::vector<size_t> pos(8);
-  for (size_t p = 0; p < 8; ++p) pos[order[p]] = p;
-  std::vector<size_t> block0 = {pos[0], pos[1], pos[2], pos[3]};
-  std::sort(block0.begin(), block0.end());
-  const bool block0_first = block0 == std::vector<size_t>{0, 1, 2, 3};
-  const bool block0_last = block0 == std::vector<size_t>{4, 5, 6, 7};
-  EXPECT_TRUE(block0_first || block0_last);
-}
-
-TEST(SpectralEmbeddingTest, TinyInputs) {
-  PairScores s(2);
-  auto order = SpectralEmbedding(s);
-  EXPECT_TRUE(IsPermutation(order, 2));
-}
-
-TEST(HierarchyEmbeddingTest, PermutationAndBlockContiguity) {
-  PairScores s(9, -0.1);
-  for (size_t block : {size_t{0}, size_t{3}, size_t{6}}) {
-    for (size_t i = block; i < block + 3; ++i) {
-      for (size_t j = i + 1; j < block + 3; ++j) s.Set(i, j, 2.0);
-    }
-  }
-  auto order = HierarchyEmbedding(s);
-  ASSERT_TRUE(IsPermutation(order, 9));
-  for (size_t block : {size_t{0}, size_t{3}, size_t{6}}) {
-    std::vector<size_t> positions;
-    for (size_t i = block; i < block + 3; ++i) {
-      positions.push_back(PositionOf(order, i));
-    }
-    std::sort(positions.begin(), positions.end());
-    EXPECT_EQ(positions[2] - positions[0], 2u);
-  }
-}
-
-TEST(HierarchyEmbeddingTest, FallsBackWhenTooLarge) {
-  PairScores s(32);
-  s.Set(0, 1, 1.0);
-  auto order = HierarchyEmbedding(s, /*max_items=*/8);
-  EXPECT_TRUE(IsPermutation(order, 32));  // Greedy fallback still valid.
-}
-
 }  // namespace
 }  // namespace topkdup::embed

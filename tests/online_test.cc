@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
+#include <set>
+#include <utility>
 
+#include "common/rng.h"
 #include "dedup/streaming_collapse.h"
 #include "predicates/generic.h"
 #include "sim/similarity.h"
@@ -24,8 +29,8 @@ TEST(StreamingCollapseTest, MergesMatchingSignatures) {
   ASSERT_EQ(groups.size(), 2u);
   EXPECT_DOUBLE_EQ(groups[0].weight, 3.0);  // acme x3.
   EXPECT_DOUBLE_EQ(groups[1].weight, 2.0);
-  EXPECT_DOUBLE_EQ(collapse.GroupWeight(0), 3.0);
-  EXPECT_DOUBLE_EQ(collapse.GroupWeight(1), 2.0);
+  EXPECT_EQ(groups[0].members, (std::vector<size_t>{0, 2, 3}));
+  EXPECT_EQ(groups[1].members, (std::vector<size_t>{1, 4}));
 }
 
 TEST(StreamingCollapseTest, BlockingFiltersNonCandidates) {
@@ -42,8 +47,7 @@ TEST(StreamingCollapseTest, BlockingFiltersNonCandidates) {
   EXPECT_EQ(collapse.group_count(), 3u);  // All distinct entities.
 }
 
-TEST(StreamingCollapseTest, SurvivesCapacityDoublingWithWeights) {
-  // Force multiple rebuilds and verify group weights stay correct.
+TEST(StreamingCollapseTest, WeightsStayExactOverManyInserts) {
   std::vector<int> keys;
   dedup::StreamingCollapse collapse(
       [&](size_t a, size_t b) { return keys[a] == keys[b]; });
@@ -54,14 +58,147 @@ TEST(StreamingCollapseTest, SurvivesCapacityDoublingWithWeights) {
     collapse.Insert({"k" + std::to_string(key)}, 1.0 + key);
     expected[key] += 1.0 + key;
   }
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_DOUBLE_EQ(collapse.GroupWeight(i), expected[keys[i]]) << i;
-  }
   auto groups = collapse.Groups();
   ASSERT_EQ(groups.size(), 7u);
   size_t total_members = 0;
-  for (const auto& g : groups) total_members += g.members.size();
+  for (const auto& g : groups) {
+    const int key = keys[g.members.front()];
+    for (size_t m : g.members) EXPECT_EQ(keys[m], key) << m;
+    EXPECT_DOUBLE_EQ(g.weight, expected[key]) << "key " << key;
+    total_members += g.members.size();
+  }
   EXPECT_EQ(total_members, 200u);
+}
+
+TEST(StreamingCollapseTest, LaterRecordJoinsTwoEarlierGroups) {
+  int evaluations = 0;
+  dedup::StreamingCollapse collapse([&](size_t, size_t) {
+    ++evaluations;
+    return true;
+  });
+  collapse.Insert({"aa"}, 1.0);
+  collapse.Insert({"bb"}, 2.0);
+  EXPECT_EQ(collapse.group_count(), 2u);
+  // Shares "aa" with record 0 and "bb" with record 1 (and repeats "aa").
+  collapse.Insert({"aa", "bb", "aa"}, 4.0);
+  EXPECT_EQ(evaluations, 2);  // Once per distinct earlier record.
+  EXPECT_EQ(collapse.group_count(), 1u);
+  auto groups = collapse.Groups();
+  ASSERT_EQ(groups.size(), 1u);
+  EXPECT_EQ(groups[0].members, (std::vector<size_t>{0, 1, 2}));
+  EXPECT_DOUBLE_EQ(groups[0].weight, 7.0);
+}
+
+/// Deterministic, symmetric, non-transitive pair decision: true for about
+/// `percent`% of pairs.
+bool HashedMatch(size_t a, size_t b, uint64_t seed, int percent) {
+  uint64_t x = seed ^ (std::min(a, b) * 0x9E3779B97F4A7C15ull) ^
+               (std::max(a, b) * 0xC2B2AE3D27D4EB4Full);
+  x ^= x >> 31;
+  x *= 0xBF58476D1CE4E5B9ull;
+  x ^= x >> 29;
+  return static_cast<int>(x % 100) < percent;
+}
+
+/// Brute-force O(n^2) transitive closure over every pair that shares a
+/// signature token and passes `match`, in Groups()'s canonical order.
+std::vector<dedup::StreamingCollapse::GroupView> OracleGroups(
+    const std::vector<std::vector<std::string>>& signatures,
+    const std::vector<double>& weights,
+    const std::function<bool(size_t, size_t)>& match) {
+  const size_t n = signatures.size();
+  std::vector<std::vector<size_t>> adj(n);
+  for (size_t b = 0; b < n; ++b) {
+    for (size_t a = 0; a < b; ++a) {
+      bool share = false;
+      for (const std::string& t : signatures[a]) {
+        for (const std::string& u : signatures[b]) share = share || t == u;
+      }
+      if (share && match(b, a)) {
+        adj[a].push_back(b);
+        adj[b].push_back(a);
+      }
+    }
+  }
+  std::vector<bool> seen(n, false);
+  std::vector<dedup::StreamingCollapse::GroupView> out;
+  for (size_t start = 0; start < n; ++start) {
+    if (seen[start]) continue;
+    dedup::StreamingCollapse::GroupView view;
+    std::vector<size_t> stack = {start};
+    seen[start] = true;
+    while (!stack.empty()) {
+      const size_t x = stack.back();
+      stack.pop_back();
+      view.members.push_back(x);
+      for (size_t y : adj[x]) {
+        if (!seen[y]) {
+          seen[y] = true;
+          stack.push_back(y);
+        }
+      }
+    }
+    std::sort(view.members.begin(), view.members.end());
+    for (size_t m : view.members) view.weight += weights[m];
+    out.push_back(std::move(view));
+  }
+  std::sort(out.begin(), out.end(),
+            [](const auto& a, const auto& b) {
+              if (a.weight != b.weight) return a.weight > b.weight;
+              return a.members.front() < b.members.front();
+            });
+  return out;
+}
+
+TEST(StreamingCollapseTest, MatchesBruteForceClosureOnRandomStreams) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    // Few tokens and multi-token signatures: postings collide heavily and
+    // later records routinely bridge groups formed earlier. Past 1000
+    // mentions to cover long-running streams.
+    const size_t n = seed <= 2 ? 1200 : 300;
+    const size_t vocab = 8 + rng.Uniform(40);
+    const int percent = 20 + static_cast<int>(rng.Uniform(60));
+    std::vector<std::vector<std::string>> signatures;
+    std::vector<double> weights;
+    std::set<std::pair<size_t, size_t>> evaluated;
+    bool duplicate_evaluation = false;
+    const auto match = [&](size_t a, size_t b) {
+      return HashedMatch(a, b, seed, percent);
+    };
+    dedup::StreamingCollapse collapse([&](size_t a, size_t b) {
+      duplicate_evaluation |= !evaluated.insert({a, b}).second;
+      return match(a, b);
+    });
+    size_t bridges = 0;
+    for (size_t i = 0; i < n; ++i) {
+      std::vector<std::string> signature;
+      const size_t tokens = 1 + rng.Uniform(3);
+      for (size_t t = 0; t < tokens; ++t) {
+        signature.push_back("t" + std::to_string(rng.Uniform(vocab)));
+      }
+      signatures.push_back(signature);
+      weights.push_back(0.25 + rng.NextDouble() * 3.0);
+      const size_t before = collapse.group_count();
+      collapse.Insert(signature, weights.back());
+      // Joining two earlier groups nets one group fewer than before.
+      if (collapse.group_count() < before) ++bridges;
+    }
+    EXPECT_FALSE(duplicate_evaluation) << "seed " << seed;
+    EXPECT_GT(bridges, 0u) << "seed " << seed;
+    EXPECT_EQ(collapse.record_count(), n);
+
+    const auto expected = OracleGroups(signatures, weights, match);
+    const auto actual = collapse.Groups();
+    EXPECT_EQ(collapse.group_count(), expected.size());
+    ASSERT_EQ(actual.size(), expected.size()) << "seed " << seed;
+    for (size_t g = 0; g < actual.size(); ++g) {
+      EXPECT_EQ(actual[g].members, expected[g].members)
+          << "seed " << seed << " group " << g;
+      EXPECT_EQ(actual[g].weight, expected[g].weight)  // Bit-identical.
+          << "seed " << seed << " group " << g;
+    }
+  }
 }
 
 class OnlineTopKTest : public ::testing::Test {

@@ -1,9 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 
-#include "text/inverted_index.h"
 #include "text/tokenize.h"
 #include "text/vocab.h"
 
@@ -102,59 +100,6 @@ TEST(IntersectionTest, SortedIntersectionSize) {
   EXPECT_EQ(SortedIntersectionSize({1, 3, 5, 7}, {2, 3, 4, 5}), 2);
   EXPECT_EQ(SortedIntersectionSize({}, {1}), 0);
   EXPECT_EQ(SortedIntersectionSize({1, 2}, {1, 2}), 2);
-}
-
-TEST(InvertedIndexTest, FindsCandidatesWithCommonCounts) {
-  Vocabulary v;
-  InvertedIndex index;
-  auto s0 = v.InternSet({"a", "b", "c"});
-  auto s1 = v.InternSet({"b", "c", "d"});
-  auto s2 = v.InternSet({"x", "y"});
-  index.Add(0, s0);
-  index.Add(1, s1);
-  index.Add(2, s2);
-
-  std::set<std::pair<int64_t, int>> found;
-  index.ForEachCandidate(0, s0, 1, [&](int64_t other, int common) {
-    found.insert({other, common});
-  });
-  ASSERT_EQ(found.size(), 1u);
-  EXPECT_TRUE(found.count({1, 2}) == 1);
-
-  found.clear();
-  index.ForEachCandidate(2, s2, 1, [&](int64_t other, int common) {
-    found.insert({other, common});
-  });
-  EXPECT_TRUE(found.empty());
-}
-
-TEST(InvertedIndexTest, MinCommonFilters) {
-  Vocabulary v;
-  InvertedIndex index;
-  auto s0 = v.InternSet({"a", "b", "c"});
-  auto s1 = v.InternSet({"a", "z"});
-  index.Add(0, s0);
-  index.Add(1, s1);
-  int calls = 0;
-  index.ForEachCandidate(0, s0, 2,
-                         [&](int64_t, int) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  index.ForEachCandidate(0, s0, 1,
-                         [&](int64_t, int) { ++calls; });
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(InvertedIndexTest, PostingSize) {
-  Vocabulary v;
-  InvertedIndex index;
-  auto s0 = v.InternSet({"a"});
-  auto s1 = v.InternSet({"a", "b"});
-  index.Add(0, s0);
-  index.Add(1, s1);
-  EXPECT_EQ(index.PostingSize(v.Find("a")), 2u);
-  EXPECT_EQ(index.PostingSize(v.Find("b")), 1u);
-  EXPECT_EQ(index.PostingSize(kInvalidToken), 0u);
-  EXPECT_EQ(index.item_count(), 2u);
 }
 
 }  // namespace
