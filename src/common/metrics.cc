@@ -153,42 +153,6 @@ uint64_t MetricsSnapshot::CounterValue(std::string_view name) const {
   return 0;
 }
 
-double MetricsSnapshot::GaugeValue(std::string_view name) const {
-  for (const GaugeSample& sample : gauges) {
-    if (sample.name == name) return sample.value;
-  }
-  return 0.0;
-}
-
-MetricsSnapshot MetricsSnapshot::Delta(const MetricsSnapshot& before,
-                                       const MetricsSnapshot& after) {
-  MetricsSnapshot delta;
-  delta.counters = after.counters;
-  for (CounterSample& sample : delta.counters) {
-    const uint64_t prior = before.CounterValue(sample.name);
-    sample.value = sample.value >= prior ? sample.value - prior : 0;
-  }
-  delta.gauges = after.gauges;
-  delta.histograms = after.histograms;
-  for (HistogramSample& sample : delta.histograms) {
-    for (const HistogramSample& prior : before.histograms) {
-      if (prior.name != sample.name || prior.counts.size() != sample.counts.size()) {
-        continue;
-      }
-      for (size_t b = 0; b < sample.counts.size(); ++b) {
-        sample.counts[b] = sample.counts[b] >= prior.counts[b]
-                               ? sample.counts[b] - prior.counts[b]
-                               : 0;
-      }
-      sample.count = sample.count >= prior.count ? sample.count - prior.count
-                                                 : 0;
-      sample.sum -= prior.sum;
-      break;
-    }
-  }
-  return delta;
-}
-
 namespace {
 
 /// JSON number from a double: integral values print without an exponent
@@ -268,7 +232,9 @@ Counter* Registry::GetCounter(std::string_view name) {
   if (it == counters_.end()) {
     it = counters_
              .emplace(std::string(name),
-                      std::unique_ptr<Counter>(new Counter(std::string(name))))
+                      std::unique_ptr<Counter>(new Counter(
+                          std::string(name),
+                          static_cast<uint32_t>(counters_.size()))))
              .first;
   }
   return it->second.get();

@@ -13,6 +13,22 @@
 #include <vector>
 
 namespace topkdup::metrics {
+class Counter;
+}  // namespace topkdup::metrics
+
+namespace topkdup::resource::internal {
+
+/// The calling thread's pending work for its attached resource meter
+/// (common/resource_meter.h); non-null exactly while a meter is attached.
+class WorkTally;
+extern constinit thread_local WorkTally* t_work_tally;
+/// Adds `delta` units of `counter` to `tally`. Lock- and allocation-free.
+void TallyWork(WorkTally* tally, const metrics::Counter& counter,
+               uint64_t delta);
+
+}  // namespace topkdup::resource::internal
+
+namespace topkdup::metrics {
 
 /// Number of independent per-thread shards a hot-path metric is striped
 /// across. Threads hash onto shards, so concurrent increments from the
@@ -38,24 +54,35 @@ struct alignas(64) CounterCell {
 
 /// Monotonically increasing counter. Add() is a relaxed atomic add on the
 /// calling thread's stripe (lock-free, no false sharing); Value() sums the
-/// stripes. Handles returned by the Registry are valid for the process
-/// lifetime — cache them outside hot loops and batch increments where a
-/// loop-local accumulator is available.
+/// stripes. While a resource meter is attached to the calling thread, Add()
+/// also charges the increment to that meter under the counter's name —
+/// the per-query work ledger; with none attached that costs one
+/// thread-local load and a branch. Handles returned by the Registry are
+/// valid for the process lifetime — cache them outside hot loops and batch
+/// increments where a loop-local accumulator is available.
 class Counter {
  public:
   void Add(uint64_t delta) {
     cells_[StripeIndex()].value.fetch_add(delta, std::memory_order_relaxed);
+    if (resource::internal::WorkTally* tally =
+            resource::internal::t_work_tally) {
+      resource::internal::TallyWork(tally, *this, delta);
+    }
   }
   void Increment() { Add(1); }
   uint64_t Value() const;
   const std::string& name() const { return name_; }
+  /// Registration ordinal: 0 for the first counter the registry created,
+  /// then 1, 2, ... Dense, so per-thread tallies can index by it.
+  uint32_t id() const { return id_; }
 
  private:
   friend class Registry;
-  explicit Counter(std::string name) : name_(std::move(name)) {}
+  Counter(std::string name, uint32_t id) : name_(std::move(name)), id_(id) {}
   void Reset();
 
   std::string name_;
+  uint32_t id_;
   std::array<internal::CounterCell, kStripes> cells_;
 };
 
@@ -156,14 +183,6 @@ struct MetricsSnapshot {
 
   /// Value of a counter in this snapshot; 0 when absent.
   uint64_t CounterValue(std::string_view name) const;
-  /// Value of a gauge in this snapshot; 0 when absent.
-  double GaugeValue(std::string_view name) const;
-
-  /// Work done between two snapshots of the same registry: counters and
-  /// histogram counts/sums subtract (clamped at zero), gauges keep the
-  /// `after` value. Metrics registered only in `after` pass through.
-  static MetricsSnapshot Delta(const MetricsSnapshot& before,
-                               const MetricsSnapshot& after);
 
   /// Compact single-line JSON object:
   /// {"counters":{...},"gauges":{...},"histograms":{...}} — embeddable in

@@ -3,22 +3,84 @@
 #include <time.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <utility>
+
+#include "common/metrics.h"
 
 namespace topkdup::resource {
+
+namespace internal {
+
+constinit thread_local WorkTally* t_work_tally = nullptr;
+
+/// Counter increments the calling thread has made for its attached meter
+/// since the last fold, indexed by Counter::id() so a tally neither
+/// searches nor allocates; `touched_` lists the non-zero slots so a fold
+/// visits only those. Counters registered past kSlots (late dynamic
+/// families; the pipeline's counters register long before) have no slot
+/// and charge the meter under its lock.
+class WorkTally {
+ public:
+  static constexpr size_t kSlots = 256;
+
+  void Add(const metrics::Counter& counter, uint64_t delta) {
+    uint64_t& slot = pending_[counter.id()];
+    if (slot == 0) touched_[touched_count_++] = &counter;
+    slot += delta;
+  }
+
+  /// Units of `kind` not yet folded into the meter.
+  uint64_t Pending(std::string_view kind) const {
+    for (size_t i = 0; i < touched_count_; ++i) {
+      if (touched_[i]->name() == kind) return pending_[touched_[i]->id()];
+    }
+    return 0;
+  }
+
+  /// Charges `cpu_seconds` to `stage` and folds every pending unit into
+  /// `meter` under one lock, leaving the tally empty.
+  void FlushInto(ResourceMeter* meter, std::string_view stage,
+                 double cpu_seconds) {
+    std::lock_guard<std::mutex> lock(meter->mu_);
+    meter->ChargeLocked(stage, cpu_seconds);
+    for (size_t i = 0; i < touched_count_; ++i) {
+      meter->work_[touched_[i]->name()] +=
+          std::exchange(pending_[touched_[i]->id()], 0);
+    }
+    touched_count_ = 0;
+  }
+
+  static void ChargeUnslotted(ResourceMeter* meter,
+                              const metrics::Counter& counter,
+                              uint64_t delta) {
+    std::lock_guard<std::mutex> lock(meter->mu_);
+    meter->work_[counter.name()] += delta;
+  }
+
+ private:
+  std::array<uint64_t, kSlots> pending_{};
+  std::array<const metrics::Counter*, kSlots> touched_{};
+  size_t touched_count_ = 0;
+};
+
+}  // namespace internal
 
 namespace {
 
 /// Per-thread attribution state. `cpu_mark` is the thread CPU clock at
 /// the last boundary (attach, stage switch); every boundary charges
 /// [cpu_mark, now) to the stage that was current across the interval, so
-/// intervals are exclusive and stage sums reconcile with the total.
+/// intervals are exclusive and stage sums reconcile with the total. The
+/// same boundaries fold `work` into the meter.
 struct ThreadAttribution {
   ResourceMeter* meter = nullptr;
   const char* stage = nullptr;
   double cpu_mark = 0.0;
+  internal::WorkTally work;
 };
 
 thread_local ThreadAttribution t_attr;
@@ -26,9 +88,18 @@ thread_local ThreadAttribution t_attr;
 void FlushToCurrentStage(double now) {
   ThreadAttribution& attr = t_attr;
   if (attr.meter == nullptr) return;
-  attr.meter->Charge(attr.stage != nullptr ? attr.stage : kOtherStage,
-                     now - attr.cpu_mark);
+  attr.work.FlushInto(attr.meter,
+                      attr.stage != nullptr ? attr.stage : kOtherStage,
+                      now - attr.cpu_mark);
   attr.cpu_mark = now;
+}
+
+/// Installs `meter` as the calling thread's attribution target (nullptr
+/// suspends attribution); the work tally follows it.
+void SetAttachedMeter(ResourceMeter* meter, const char* stage) {
+  t_attr.meter = meter;
+  t_attr.stage = stage;
+  internal::t_work_tally = meter != nullptr ? &t_attr.work : nullptr;
 }
 
 double NowSeconds() {
@@ -39,25 +110,32 @@ double NowSeconds() {
 
 }  // namespace
 
+namespace internal {
+
+void TallyWork(WorkTally* tally, const metrics::Counter& counter,
+               uint64_t delta) {
+  if (delta == 0) return;
+  if (counter.id() < WorkTally::kSlots) {
+    tally->Add(counter, delta);
+  } else {
+    WorkTally::ChargeUnslotted(t_attr.meter, counter, delta);
+  }
+}
+
+}  // namespace internal
+
 void ResourceMeter::Charge(std::string_view stage, double cpu_seconds) {
-  if (!(cpu_seconds > 0.0)) return;  // Clamp negatives and NaNs.
   std::lock_guard<std::mutex> lock(mu_);
+  ChargeLocked(stage, cpu_seconds);
+}
+
+void ResourceMeter::ChargeLocked(std::string_view stage, double cpu_seconds) {
+  if (!(cpu_seconds > 0.0)) return;  // Clamp negatives and NaNs.
   auto it = stage_cpu_.find(stage);
   if (it == stage_cpu_.end()) {
     stage_cpu_.emplace(std::string(stage), cpu_seconds);
   } else {
     it->second += cpu_seconds;
-  }
-}
-
-void ResourceMeter::ChargeWork(std::string_view kind, uint64_t units) {
-  if (units == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = work_.find(kind);
-  if (it == work_.end()) {
-    work_.emplace(std::string(kind), units);
-  } else {
-    it->second += units;
   }
 }
 
@@ -74,16 +152,15 @@ std::vector<std::pair<std::string, double>> ResourceMeter::StageBreakdown()
   return {stage_cpu_.begin(), stage_cpu_.end()};
 }
 
-std::vector<std::pair<std::string, uint64_t>> ResourceMeter::WorkBreakdown()
-    const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return {work_.begin(), work_.end()};
-}
-
 uint64_t ResourceMeter::WorkUnits(std::string_view kind) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = work_.find(kind);
-  return it == work_.end() ? 0 : it->second;
+  uint64_t units = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = work_.find(kind);
+    if (it != work_.end()) units = it->second;
+  }
+  if (t_attr.meter == this) units += t_attr.work.Pending(kind);
+  return units;
 }
 
 void ResourceMeter::Reset() {
@@ -134,16 +211,14 @@ ScopedMeterAttach::ScopedMeterAttach(ResourceMeter* meter, const char* stage)
   // Suspend any outer attachment: flush its open interval so the inner
   // scope's CPU is never double-charged to it.
   FlushToCurrentStage(now);
-  t_attr.meter = meter;
-  t_attr.stage = stage;
+  SetAttachedMeter(meter, stage);
   t_attr.cpu_mark = now;
 }
 
 ScopedMeterAttach::~ScopedMeterAttach() {
   const double now = ThreadCpuSeconds();
   FlushToCurrentStage(now);
-  t_attr.meter = saved_meter_;
-  t_attr.stage = saved_stage_;
+  SetAttachedMeter(saved_meter_, saved_stage_);
   // Resume the outer attachment's clock at `now`: the inner scope's CPU
   // belongs to the inner meter alone.
   t_attr.cpu_mark = saved_meter_ != nullptr ? now : saved_mark_;

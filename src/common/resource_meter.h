@@ -11,12 +11,19 @@
 
 namespace topkdup::resource {
 
+namespace internal {
+class WorkTally;
+}  // namespace internal
+
 /// Per-query resource attribution: how much CPU time a query consumed,
 /// broken down by pipeline stage (collapse, lower_bound, prune,
-/// pair_scoring, segment_dp, embedding), no matter which pool workers the
-/// work landed on.
+/// pair_scoring, segment_dp, embedding), and how much work it did, by
+/// registry counter — no matter which pool workers the work landed on.
+/// The meter is the query's one work ledger: request logs, the serve cost
+/// model and PrunedDedup's per-level LevelStats all read it, so
+/// overlapping queries never see each other's work.
 ///
-/// Mechanics — three hooks, no per-instruction cost:
+/// Mechanics — four hooks, no per-instruction cost:
 ///
 ///  1. A query attempt attaches a ResourceMeter to its executing thread
 ///     with ScopedMeterAttach. From that point the thread's CPU clock
@@ -34,6 +41,13 @@ namespace topkdup::resource {
 ///     for the duration of a shard — the same delegation pattern the
 ///     soft-failure channel uses — so CPU burned on pool workers is
 ///     charged to the stage whose region fanned out.
+///  4. metrics::Counter::Add on an attached thread also tallies the
+///     increment, keyed by counter name, in a per-thread array indexed by
+///     the counter's registration ordinal (no lock, no allocation). The
+///     tally folds into the meter wherever the thread's CPU interval is
+///     flushed (stage boundaries, detach), so pool-worker increments land
+///     by the end of their shard, and reads on the attached thread add
+///     its own still-pending units.
 ///
 /// Because every charged interval is exclusive (a thread is in exactly one
 /// stage at a time, and each thread's clock is read once per boundary),
@@ -56,11 +70,6 @@ class ResourceMeter {
   /// across CPU migrations on some kernels). Thread-safe.
   void Charge(std::string_view stage, double cpu_seconds);
 
-  /// Adds `units` of work of kind `kind` (e.g. candidate pairs evaluated,
-  /// postings decoded) — the denominators the serve cost model divides CPU
-  /// by. Thread-safe.
-  void ChargeWork(std::string_view kind, uint64_t units);
-
   /// Total CPU seconds charged — identically the sum of StageBreakdown()
   /// values. Thread-safe.
   double CpuSeconds() const;
@@ -69,15 +78,19 @@ class ResourceMeter {
   /// order). Thread-safe.
   std::vector<std::pair<std::string, double>> StageBreakdown() const;
 
-  /// Per-kind work units, sorted by kind name. Thread-safe.
-  std::vector<std::pair<std::string, uint64_t>> WorkBreakdown() const;
-
-  /// Total work units of one kind (0 when never charged).
+  /// Units a registry counter ("dedup.prune.pair_evals", ...) was
+  /// incremented by while this meter was attached; 0 when never.
+  /// Thread-safe; on a thread attached to this meter it includes that
+  /// thread's pending units.
   uint64_t WorkUnits(std::string_view kind) const;
 
   void Reset();
 
  private:
+  friend class internal::WorkTally;
+
+  void ChargeLocked(std::string_view stage, double cpu_seconds);
+
   mutable std::mutex mu_;
   std::map<std::string, double, std::less<>> stage_cpu_;
   std::map<std::string, uint64_t, std::less<>> work_;
@@ -98,14 +111,14 @@ const char* StageForSpan(const char* span_name);
 double ThreadCpuSeconds();
 
 /// RAII attachment of a meter to the calling thread. While attached, the
-/// thread's CPU is charged to `meter` (per the stage rules above);
-/// detaching flushes the final interval. Attachments nest: the previous
-/// attachment is suspended (its clock stops) and restored on destruction,
-/// so a worker serving a delegated region never double-charges its own
-/// query's meter. `stage` seeds the current stage (nullptr = "other") —
-/// region delegation passes the launching thread's stage so shard CPU
-/// lands where the fan-out happened. `meter == nullptr` suspends
-/// attribution for the scope.
+/// thread's CPU and counter increments are charged to `meter` (per the
+/// rules above); detaching flushes the final interval. Attachments nest:
+/// the previous attachment is suspended (its clock stops) and restored on
+/// destruction, so a worker serving a delegated region never
+/// double-charges its own query's meter. `stage` seeds the current stage
+/// (nullptr = "other") — region delegation passes the launching thread's
+/// stage so shard CPU lands where the fan-out happened. `meter == nullptr`
+/// suspends attribution for the scope.
 class ScopedMeterAttach {
  public:
   explicit ScopedMeterAttach(ResourceMeter* meter,

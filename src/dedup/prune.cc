@@ -1,5 +1,6 @@
 #include "dedup/prune.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <limits>
@@ -183,25 +184,33 @@ PruneResult PruneGroups(const std::vector<Group>& groups,
   return result;
 }
 
-std::vector<double> ComputeGroupUpperBounds(
-    const std::vector<Group>& groups,
-    const predicates::PairPredicate& necessary,
-    const std::vector<size_t>& indices, const Deadline* deadline,
+std::vector<double> DegradedUpperBounds(
+    const std::vector<Group>& groups, size_t count,
+    const std::vector<double>& bounds, bool unconditional,
+    const predicates::PairPredicate& necessary, const Deadline* deadline,
     predicates::IndexCache* index_cache) {
+  count = std::min(count, groups.size());
+  if (unconditional && bounds.size() == groups.size()) {
+    return {bounds.begin(), bounds.begin() + count};
+  }
+  if (deadline != nullptr &&
+      deadline->reason() == DeadlineReason::kWorkBudget) {
+    deadline = nullptr;
+  }
+  std::vector<double> upper(count, std::numeric_limits<double>::infinity());
+  if (count == 0 || (deadline != nullptr && deadline->ExpiredUrgent())) {
+    return upper;
+  }
   const size_t n = groups.size();
   std::vector<size_t> reps(n);
   for (size_t i = 0; i < n; ++i) reps[i] = groups[i].rep;
   const predicates::IndexHandle index_handle(index_cache, necessary, reps);
   const predicates::BlockedIndex& index = index_handle.get();
-
-  std::vector<double> bounds(indices.size(),
-                             std::numeric_limits<double>::infinity());
-  ParallelForShards(0, indices.size(), DefaultGrain(indices.size()),
+  ParallelForShards(0, count, DefaultGrain(count),
                     [&](size_t shard_begin, size_t shard_end, size_t) {
     if (deadline != nullptr && deadline->ExpiredUrgent()) return;
     predicates::BlockedIndex::QueryScratch scratch;
-    for (size_t s = shard_begin; s < shard_end; ++s) {
-      const size_t i = indices[s];
+    for (size_t i = shard_begin; i < shard_end; ++i) {
       double sum = groups[i].weight;
       index.ForEachCandidate(i, &scratch, [&](size_t j) {
         if (j != i && necessary.Evaluate(reps[i], reps[j])) {
@@ -209,10 +218,10 @@ std::vector<double> ComputeGroupUpperBounds(
         }
         return true;
       });
-      bounds[s] = sum;
+      upper[i] = sum;
     }
   });
-  return bounds;
+  return upper;
 }
 
 }  // namespace topkdup::dedup

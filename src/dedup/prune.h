@@ -78,18 +78,22 @@ PruneResult PruneGroups(const std::vector<Group>& groups,
                         const PruneOptions& options = {},
                         bool exact_bounds = false);
 
-/// First-pass §4.3 upper bounds u_i = w_i + sum of all N-neighbor weights
-/// for the groups at `indices` (neighbors range over ALL of `groups`, so
-/// the bound is valid regardless of which subset is asked about). Used to
-/// attach [lower, upper] count intervals to a degraded answer when the
-/// pruning stage never ran for the final partition. `deadline`, when
-/// non-null, is urgent-polled per shard; a skipped shard's bounds are +inf
-/// (still valid, merely uninformative). Never charges work.
-std::vector<double> ComputeGroupUpperBounds(
-    const std::vector<Group>& groups,
-    const predicates::PairPredicate& necessary,
-    const std::vector<size_t>& indices, const Deadline* deadline = nullptr,
-    predicates::IndexCache* index_cache = nullptr);
+/// Sound count upper bounds for groups[0, count) of a pipeline state that
+/// a deadline stopped: the `count_upper` ends of degraded answers.
+/// Reuses `bounds` when they are `unconditional`
+/// (PruneResult::unconditional_bounds) and aligned with `groups`;
+/// otherwise recomputes first-pass §4.3 bounds u_i = w_i + the weights of
+/// all N-neighbors among `groups`. The recomputation is urgent-polled per
+/// shard, so after cancel or wall-clock expiry it probes nothing and every
+/// bound is +inf — the prompt-return guarantee outranks bound tightness.
+/// Only after a work-budget expiry, which is latched and would skip every
+/// shard, does it run unpolled: it is bounded by `count` and thread-count
+/// deterministic. Never charges work.
+std::vector<double> DegradedUpperBounds(
+    const std::vector<Group>& groups, size_t count,
+    const std::vector<double>& bounds, bool unconditional,
+    const predicates::PairPredicate& necessary, const Deadline* deadline,
+    predicates::IndexCache* index_cache);
 
 }  // namespace topkdup::dedup
 

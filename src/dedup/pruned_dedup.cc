@@ -1,12 +1,14 @@
 #include "dedup/pruned_dedup.h"
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "common/faultpoint.h"
 #include "common/log.h"
 #include "common/parallel.h"
+#include "common/resource_meter.h"
 #include "common/timer.h"
 #include "common/trace.h"
 #include "dedup/collapse.h"
@@ -15,39 +17,23 @@ namespace topkdup::dedup {
 
 namespace {
 
-/// Counters whose per-level deltas populate LevelStats. Reading a striped
-/// counter is a 16-load sum, so bracketing every stage is effectively
-/// free.
-struct StageCounters {
-  metrics::Counter* blocking_probes;
-  metrics::Counter* collapse_evals;
-  metrics::Counter* lower_bound_evals;
-  metrics::Counter* prune_evals;
-  metrics::Counter* postings_scanned;
-  metrics::Counter* postings_decoded;
-  metrics::Counter* blocks_decoded;
-  metrics::Counter* blocks_skipped;
-
-  static const StageCounters& Get() {
-    auto& registry = metrics::Registry::Global();
-    static const StageCounters counters = {
-        registry.GetCounter("predicates.blocked_index.candidates"),
-        registry.GetCounter("dedup.collapse.pair_evals"),
-        registry.GetCounter("dedup.lower_bound.pair_evals"),
-        registry.GetCounter("dedup.prune.pair_evals"),
-        registry.GetCounter("predicates.blocked_index.postings_scanned"),
-        registry.GetCounter("predicates.blocked_index.postings_decoded"),
-        registry.GetCounter("predicates.blocked_index.blocks_decoded"),
-        registry.GetCounter("predicates.blocked_index.blocks_skipped"),
-    };
-    return counters;
-  }
-
-  uint64_t TotalEvals() const {
-    return collapse_evals->Value() + lower_bound_evals->Value() +
-           prune_evals->Value();
-  }
+/// This query's own work behind one level's LevelStats counters, read off
+/// its meter (common/resource_meter.h), so concurrent queries never leak
+/// into each other's stats.
+struct LevelWork {
+  uint64_t probes, evals, scanned, decoded, blocks_decoded, blocks_skipped;
 };
+
+LevelWork ReadLevelWork(const resource::ResourceMeter& meter) {
+  return {meter.WorkUnits("predicates.blocked_index.candidates"),
+          meter.WorkUnits("dedup.collapse.pair_evals") +
+              meter.WorkUnits("dedup.lower_bound.pair_evals") +
+              meter.WorkUnits("dedup.prune.pair_evals"),
+          meter.WorkUnits("predicates.blocked_index.postings_scanned"),
+          meter.WorkUnits("predicates.blocked_index.postings_decoded"),
+          meter.WorkUnits("predicates.blocked_index.blocks_decoded"),
+          meter.WorkUnits("predicates.blocked_index.blocks_skipped")};
+}
 
 }  // namespace
 
@@ -68,9 +54,16 @@ StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
   // Receives soft failures reported by code below us with no Status
   // channel (the thread pool's fault site); checked after each stage.
   ScopedSoftFailHandler soft_fail;
-  const StageCounters& counters = StageCounters::Get();
-  const metrics::MetricsSnapshot snapshot_before =
-      metrics::Registry::Global().Snapshot();
+  // LevelStats read the attached meter (the serve path's per-request
+  // one); direct library calls get a local one.
+  resource::ResourceMeter local_meter;
+  std::optional<resource::ScopedMeterAttach> local_attach;
+  const resource::ResourceMeter* meter =
+      resource::internal::CurrentAttribution().meter;
+  if (meter == nullptr) {
+    local_attach.emplace(&local_meter);
+    meter = &local_meter;
+  }
   trace::Span pipeline_span("dedup.pruned_dedup");
   pipeline_span.AddArg("k", options.k);
   pipeline_span.AddArg("levels", static_cast<int64_t>(levels.size()));
@@ -109,12 +102,7 @@ StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
     LevelStats stats;
     trace::Span level_span("dedup.level");
     level_span.AddArg("level", static_cast<int64_t>(level_index));
-    const uint64_t probes_before = counters.blocking_probes->Value();
-    const uint64_t evals_before = counters.TotalEvals();
-    const uint64_t scanned_before = counters.postings_scanned->Value();
-    const uint64_t decoded_before = counters.postings_decoded->Value();
-    const uint64_t dblocks_before = counters.blocks_decoded->Value();
-    const uint64_t sblocks_before = counters.blocks_skipped->Value();
+    const LevelWork work_before = ReadLevelWork(*meter);
     const size_t groups_before = groups.size();
     if (recorder != nullptr) {
       recorder->BeginLevel(
@@ -211,14 +199,15 @@ StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
       result.upper_bounds_unconditional = false;
     }
     stats.n_after_prune = groups.size();
-    stats.blocking_probes = counters.blocking_probes->Value() - probes_before;
-    stats.predicate_evals = counters.TotalEvals() - evals_before;
-    stats.postings_scanned =
-        counters.postings_scanned->Value() - scanned_before;
-    stats.postings_decoded =
-        counters.postings_decoded->Value() - decoded_before;
-    stats.blocks_decoded = counters.blocks_decoded->Value() - dblocks_before;
-    stats.blocks_skipped = counters.blocks_skipped->Value() - sblocks_before;
+    const LevelWork work_after = ReadLevelWork(*meter);
+    stats.blocking_probes = work_after.probes - work_before.probes;
+    stats.predicate_evals = work_after.evals - work_before.evals;
+    stats.postings_scanned = work_after.scanned - work_before.scanned;
+    stats.postings_decoded = work_after.decoded - work_before.decoded;
+    stats.blocks_decoded =
+        work_after.blocks_decoded - work_before.blocks_decoded;
+    stats.blocks_skipped =
+        work_after.blocks_skipped - work_before.blocks_skipped;
     TOPKDUP_LOG(Debug) << "PrunedDedup level " << level_index
                        << ": n=" << stats.n_after_collapse
                        << " m=" << stats.m << " M=" << stats.M
@@ -242,8 +231,6 @@ StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
   }
   pipeline_span.AddArg("groups_out",
                        static_cast<int64_t>(result.groups.size()));
-  result.metrics = metrics::MetricsSnapshot::Delta(
-      snapshot_before, metrics::Registry::Global().Snapshot());
   if (owned_recorder != nullptr) {
     result.explain = std::make_shared<const obs::ExplainReport>(
         owned_recorder->Finish());

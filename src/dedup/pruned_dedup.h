@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/deadline.h"
-#include "common/metrics.h"
 #include "common/status.h"
 #include "dedup/group.h"
 #include "dedup/lower_bound.h"
@@ -33,7 +32,9 @@ struct PredicateLevel {
 /// Per-level statistics matching the columns of the paper's Figures 2-4,
 /// plus the work counters behind them (how much each predicate level
 /// avoided: records collapsed away, groups pruned against M, predicate and
-/// blocking probes actually paid for).
+/// blocking probes actually paid for). The probe, predicate, posting and
+/// block counts are this query's own registry-counter increments, read
+/// off its ResourceMeter (common/resource_meter.h).
 struct LevelStats {
   size_t n_after_collapse = 0;  // n:  groups after collapsing with S_l.
   size_t m = 0;                 // m:  prefix rank certifying K entities.
@@ -69,16 +70,12 @@ struct PrunedDedupResult {
   /// duplicate count. False for early-exit-truncated or survivor-restricted
   /// multi-pass bounds, which are valid for pruning against M but must not
   /// be used as count intervals — callers needing intervals then recompute
-  /// via ComputeGroupUpperBounds (prune.h).
+  /// via DegradedUpperBounds (prune.h).
   bool upper_bounds_unconditional = false;
   std::vector<LevelStats> levels;
   /// True when pruning reduced the data to exactly K groups, in which case
   /// `groups` *is* the TopK answer and no final clustering is needed.
   bool exact = false;
-  /// Registry delta covering this run: every counter/histogram increment
-  /// between entry and return (common/metrics.h), for exporters and
-  /// query-time budgeting.
-  metrics::MetricsSnapshot metrics;
   /// Per-query explain report (Options::explain); null when explain was
   /// off or when events went to an external Options::explain_recorder.
   std::shared_ptr<const obs::ExplainReport> explain;
@@ -86,7 +83,7 @@ struct PrunedDedupResult {
   /// when every level ran to completion). When degradation stopped the
   /// pipeline before pruning recomputed bounds for the *current* group
   /// set, `upper_bounds` is empty — callers needing intervals then fall
-  /// back to ComputeGroupUpperBounds (prune.h).
+  /// back to DegradedUpperBounds (prune.h).
   DegradationInfo degradation;
 };
 

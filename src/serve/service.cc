@@ -20,6 +20,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// The meter work kinds (registry counter names) the cost model divides
+// CPU by.
+constexpr const char* kCandidatePairs = "predicates.blocked_index.candidates";
+constexpr const char* kPostingsDecoded =
+    "predicates.blocked_index.postings_decoded";
+
 double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
@@ -840,6 +846,8 @@ void QueryService::RunAttempts(DatasetState& ds, Pending& pending,
       deadline.set_cancel_token(pending.request.cancel);
     }
     const double cpu_before = pending.meter.CpuSeconds();
+    const uint64_t pairs_before = pending.meter.WorkUnits(kCandidatePairs);
+    const uint64_t decoded_before = pending.meter.WorkUnits(kPostingsDecoded);
     const Clock::time_point start = Clock::now();
     StatusOr<QueryResponse> attempt_or = Status::Internal("attempt not run");
     {
@@ -856,23 +864,14 @@ void QueryService::RunAttempts(DatasetState& ds, Pending& pending,
       *response = std::move(attempt_or).value();
       response->attempts = attempt + 1;
       // Fold the attempt into the dataset's cost model: attributed CPU,
-      // wall time, and the work units its result metrics carried.
-      const metrics::MetricsSnapshot* attempt_work =
-          pending.request.kind == QueryKind::kTopKRank
-              ? (response->rank.has_value() ? &response->rank->pruning.metrics
-                                            : nullptr)
-              : &response->result.metrics;
+      // wall time, and the work units the attempt charged to the meter.
       CostModel::Observation cost;
       cost.cpu_seconds = attempt_cpu;
       cost.wall_seconds = exec_seconds;
-      if (attempt_work != nullptr) {
-        cost.candidate_pairs =
-            attempt_work->CounterValue("predicates.blocked_index.candidates");
-        cost.postings_decoded = attempt_work->CounterValue(
-            "predicates.blocked_index.postings_decoded");
-        pending.meter.ChargeWork("candidate_pairs", cost.candidate_pairs);
-        pending.meter.ChargeWork("postings_decoded", cost.postings_decoded);
-      }
+      cost.candidate_pairs =
+          pending.meter.WorkUnits(kCandidatePairs) - pairs_before;
+      cost.postings_decoded =
+          pending.meter.WorkUnits(kPostingsDecoded) - decoded_before;
       ds.cost_model.Observe(cost);
       ds.RecordSample(exec_seconds);
       ds.served.fetch_add(1, std::memory_order_relaxed);
@@ -1151,12 +1150,8 @@ void QueryService::FinishResponse(Pending& pending, QueryResponse response) {
     event.status = response.status.ok() ? "ok"
                                         : StatusCodeName(response.status.code());
     event.outcome = ServedOutcomeName(response.outcome);
-    // Per-query work deltas travel inside the result; pick the snapshot
-    // matching the query kind.
-    const metrics::MetricsSnapshot* work = nullptr;
     if (pending.request.kind == QueryKind::kTopKRank) {
       if (response.rank.has_value()) {
-        work = &response.rank->pruning.metrics;
         event.degraded = response.rank->degradation.degraded;
         event.quality = event.degraded ? "bounds_only" : "exact";
         if (event.degraded) {
@@ -1166,7 +1161,6 @@ void QueryService::FinishResponse(Pending& pending, QueryResponse response) {
         }
       }
     } else if (response.status.ok()) {
-      work = &response.result.metrics;
       event.quality = topk::AnswerQualityName(response.result.quality);
       event.degraded = response.result.degradation.degraded;
       if (event.degraded) {
@@ -1175,16 +1169,13 @@ void QueryService::FinishResponse(Pending& pending, QueryResponse response) {
             DeadlineReasonName(response.result.degradation.reason);
       }
     }
-    if (work != nullptr) {
-      for (const char* name :
-           {"dedup.collapse.pair_evals", "dedup.prune.pair_evals",
-            "dedup.lower_bound.cpn_evals",
-            "predicates.blocked_index.postings_decoded",
-            "predicates.blocked_index.candidates",
-            "segment.scorer.cells_filled"}) {
-        const uint64_t value = work->CounterValue(name);
-        if (value != 0) event.work.emplace_back(name, value);
-      }
+    // The query's own work, summed over its attempts like cpu_ms.
+    for (const char* name :
+         {"dedup.collapse.pair_evals", "dedup.prune.pair_evals",
+          "dedup.lower_bound.cpn_evals", kPostingsDecoded, kCandidatePairs,
+          "segment.scorer.cells_filled"}) {
+      const uint64_t value = pending.meter.WorkUnits(name);
+      if (value != 0) event.work.emplace_back(name, value);
     }
     event.epoch = response.epoch;
     event.cache = response.cache;
@@ -1299,14 +1290,11 @@ void QueryService::Calibrate(DatasetState& ds) {
     ds.RecordSample(wall);
     // Seed the cost model too, so the very first admission decision can
     // already cite a measured unit cost.
-    const metrics::MetricsSnapshot& work = response.value().result.metrics;
     CostModel::Observation cost;
     cost.cpu_seconds = meter.CpuSeconds();
     cost.wall_seconds = wall;
-    cost.candidate_pairs =
-        work.CounterValue("predicates.blocked_index.candidates");
-    cost.postings_decoded =
-        work.CounterValue("predicates.blocked_index.postings_decoded");
+    cost.candidate_pairs = meter.WorkUnits(kCandidatePairs);
+    cost.postings_decoded = meter.WorkUnits(kPostingsDecoded);
     ds.cost_model.Observe(cost);
   } else {
     TOPKDUP_LOG(Warning) << "calibration query for dataset '" << ds.name

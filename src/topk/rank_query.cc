@@ -72,32 +72,24 @@ StatusOr<TopKRankResult> TopKRankQuery(
   // or restricted to surviving neighbors). Skip the extra pruning — less
   // pruning is always sound — and hand back every surviving group with a
   // recomputed unconditional §4.3 bound so the (c_i, u_i) pairs still cap
-  // the true counts. The recomputation is urgent-polled only (work-budget
-  // expiry is already latched; metering it again would zero out every
-  // interval to +inf).
-  if (pruning.degradation.degraded || options.deadline != nullptr) {
-    const bool expired = options.deadline != nullptr &&
-                         (pruning.degradation.degraded ||
-                          options.deadline->Expired());
-    if (expired) {
-      std::vector<size_t> all(n);
-      for (size_t i = 0; i < n; ++i) all[i] = i;
-      std::vector<double> bounds =
-          pruning.upper_bounds_unconditional &&
-                  pruning.upper_bounds.size() == n
-              ? pruning.upper_bounds
-              : dedup::ComputeGroupUpperBounds(groups, necessary, all,
-                                               /*deadline=*/nullptr,
-                                               options.index_cache);
-      result.ranked.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        result.ranked.push_back(RankedGroup{groups[i], bounds[i]});
-      }
-      result.degradation = pruning.degradation;
-      result.pruning = std::move(pruning);
-      if (soft_fail.triggered()) return soft_fail.status();
-      return result;
+  // the true counts (DegradedUpperBounds: +inf after cancel or wall-clock
+  // expiry, recomputed unmetered after a work-budget one).
+  if (options.deadline != nullptr &&
+      (pruning.degradation.degraded || options.deadline->Expired())) {
+    const std::vector<double> bounds = dedup::DegradedUpperBounds(
+        groups, n, pruning.upper_bounds, pruning.upper_bounds_unconditional,
+        necessary, options.deadline, options.index_cache);
+    result.ranked.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      result.ranked.push_back(RankedGroup{groups[i], bounds[i]});
     }
+    result.degradation = pruning.degradation;
+    // Expiry right after a complete dedup still skips the resolution.
+    MarkDegraded(*options.deadline, "rank_resolution", /*level=*/0,
+                 /*partial_stage=*/false, &result.degradation);
+    result.pruning = std::move(pruning);
+    if (soft_fail.triggered()) return soft_fail.status();
+    return result;
   }
 
   const std::vector<double>& ub = pruning.upper_bounds;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <algorithm>
-#include <limits>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -39,43 +38,23 @@ AnswerGroup MergeSpan(const segment::Span& span,
   return out;
 }
 
-/// Synthesizes the best bound-carrying answer available once the pipeline
-/// can no longer run the clustering stages: the K heaviest dedup groups,
-/// each with the sound count interval [observed weight, §4.3 upper bound].
-/// Pruning's final-pass bounds are reused only when they are unconditional
-/// (exact single-pass — an early-exit-truncated or survivor-restricted
-/// multi-pass sum proves "> M", not a cap on the true count) and still
-/// align with `groups`; otherwise the first-pass bounds are recomputed for
-/// just the K answer groups (urgent-skipped groups fall back to +inf, a
-/// valid if useless bound).
-TopKAnswerSet SynthesizeBoundedAnswer(
-    const dedup::PrunedDedupResult& pruning,
-    const predicates::PairPredicate& necessary, int k,
-    const Deadline* deadline, obs::ExplainRecorder* recorder,
-    predicates::IndexCache* index_cache) {
+/// The answer every early exit serves: the K heaviest dedup groups, each
+/// with a count interval. The interval is tight when pruning alone
+/// isolated exactly K groups (`pruning.exact`); after a deadline stop it
+/// is [observed weight, §4.3 upper bound] (dedup::DegradedUpperBounds).
+TopKAnswerSet GroupAnswer(const dedup::PrunedDedupResult& pruning,
+                          const predicates::PairPredicate& necessary, int k,
+                          const Deadline* deadline,
+                          obs::ExplainRecorder* recorder,
+                          predicates::IndexCache* index_cache) {
   const std::vector<dedup::Group>& groups = pruning.groups;
   const size_t count =
       std::min(groups.size(), static_cast<size_t>(std::max(k, 0)));
-  std::vector<double> upper(count,
-                            std::numeric_limits<double>::infinity());
-  if (pruning.upper_bounds_unconditional &&
-      pruning.upper_bounds.size() == groups.size()) {
-    for (size_t i = 0; i < count; ++i) upper[i] = pruning.upper_bounds[i];
-  } else if (count > 0) {
-    std::vector<size_t> indices(count);
-    for (size_t i = 0; i < count; ++i) indices[i] = i;
-    // A latched work-budget expiry would urgent-skip every shard below
-    // (expiry is latched, and urgent checks honor the latch), leaving
-    // only +inf bounds; this K-group recomputation is small, bounded,
-    // and thread-count deterministic, so it runs unmetered. Wall-clock
-    // and cancel expiry keep the deadline — the prompt-return guarantee
-    // outranks bound tightness there.
-    const Deadline* recompute_deadline =
-        deadline != nullptr && deadline->reason() == DeadlineReason::kWorkBudget
-            ? nullptr
-            : deadline;
-    upper = dedup::ComputeGroupUpperBounds(groups, necessary, indices,
-                                           recompute_deadline, index_cache);
+  std::vector<double> upper;
+  if (!pruning.exact) {
+    upper = dedup::DegradedUpperBounds(
+        groups, count, pruning.upper_bounds,
+        pruning.upper_bounds_unconditional, necessary, deadline, index_cache);
   }
 
   TopKAnswerSet answer;
@@ -87,7 +66,7 @@ TopKAnswerSet SynthesizeBoundedAnswer(
     ag.representative = g.rep;
     ag.members = g.members;
     ag.count_lower = g.weight;
-    ag.count_upper = std::max(upper[i], g.weight);
+    ag.count_upper = pruning.exact ? g.weight : std::max(upper[i], g.weight);
     if (recorder != nullptr) {
       // No embedding ran: spans and segment scores do not exist.
       answer_explain.groups.push_back(
@@ -166,18 +145,12 @@ StatusOr<TopKCountResult> TopKCountQuery(
   // Receives faults reported from inside parallel regions (no Status
   // channel there); checked after each stage above the dedup pipeline.
   ScopedSoftFailHandler soft_fail;
-  const metrics::MetricsSnapshot snapshot_before =
-      metrics::Registry::Global().Snapshot();
   trace::Span query_span("topk.query");
   query_span.AddArg("k", options.k);
   query_span.AddArg("r", options.r);
   if (options.query_id != 0) {
     query_span.AddArg("query_id", static_cast<int64_t>(options.query_id));
   }
-  const auto finish_metrics = [&](TopKCountResult* out) {
-    out->metrics = metrics::MetricsSnapshot::Delta(
-        snapshot_before, metrics::Registry::Global().Snapshot());
-  };
   // One recorder spans the whole query: dedup levels feed it through
   // PrunedDedupOptions::explain_recorder, then embedding/DP/answers append
   // their sections before Finish().
@@ -187,12 +160,6 @@ StatusOr<TopKCountResult> TopKCountQuery(
         std::make_unique<obs::ExplainRecorder>(options.explain_sample_rate);
     if (options.query_id != 0) recorder->set_query_id(options.query_id);
   }
-  const auto finish_explain = [&](TopKCountResult* out) {
-    if (recorder != nullptr) {
-      out->explain =
-          std::make_shared<const obs::ExplainReport>(recorder->Finish());
-    }
-  };
   dedup::PrunedDedupOptions prune_options;
   prune_options.k = options.k;
   prune_options.prune_passes = options.prune_passes;
@@ -206,6 +173,28 @@ StatusOr<TopKCountResult> TopKCountQuery(
 
   TopKCountResult result;
   const predicates::PairPredicate& necessary = *levels.back().necessary;
+  // The one tail every exit shares. `answer_from_groups` marks the early
+  // exits — pruning isolated exactly K groups, or the deadline stopped the
+  // pipeline before the DP produced answers — which all answer with
+  // GroupAnswer.
+  const auto finish =
+      [&](bool answer_from_groups) -> StatusOr<TopKCountResult> {
+    if (answer_from_groups) {
+      result.answers.push_back(GroupAnswer(pruning, necessary, options.k,
+                                           deadline, recorder.get(),
+                                           options.index_cache));
+    }
+    // A soft failure reported from any parallel region after the last
+    // stage checkpoint must still fail the query, not leak an OK result
+    // past a fault-injection run.
+    if (soft_fail.triggered()) return soft_fail.status();
+    result.pruning = std::move(pruning);
+    if (recorder != nullptr) {
+      result.explain =
+          std::make_shared<const obs::ExplainReport>(recorder->Finish());
+    }
+    return std::move(result);
+  };
   if (pruning.degradation.degraded) {
     // The dedup pipeline stopped early. Its groups are a valid (possibly
     // under-collapsed, under-pruned) partition; the K heaviest carry the
@@ -217,43 +206,12 @@ StatusOr<TopKCountResult> TopKCountQuery(
                          ? AnswerQuality::kTruncatedLevel
                          : AnswerQuality::kBoundsOnly;
     result.degradation = pruning.degradation;
-    result.answers.push_back(SynthesizeBoundedAnswer(
-        pruning, necessary, options.k, deadline, recorder.get(),
-        options.index_cache));
-    if (soft_fail.triggered()) return soft_fail.status();
-    result.pruning = std::move(pruning);
-    finish_metrics(&result);
-    finish_explain(&result);
-    return result;
+    return finish(/*answer_from_groups=*/true);
   }
   if (pruning.exact) {
     // Pruning alone isolated exactly K groups: one certain answer.
-    TopKAnswerSet answer;
-    obs::AnswerExplain answer_explain;
-    for (const dedup::Group& g : pruning.groups) {
-      AnswerGroup ag;
-      ag.weight = g.weight;
-      ag.representative = g.rep;
-      ag.members = g.members;
-      ag.count_lower = g.weight;
-      ag.count_upper = g.weight;
-      if (recorder != nullptr) {
-        // No embedding ran, so there are no spans or segment scores.
-        answer_explain.groups.push_back(
-            {ag.weight, ag.representative, ag.members.size(), 0, 0, 0.0});
-      }
-      answer.groups.push_back(std::move(ag));
-    }
-    result.answers.push_back(std::move(answer));
     result.exact_from_pruning = true;
-    result.pruning = std::move(pruning);
-    if (recorder != nullptr) {
-      answer_explain.rank = 1;
-      recorder->RecordAnswer(std::move(answer_explain));
-    }
-    finish_metrics(&result);
-    finish_explain(&result);
-    return result;
+    return finish(/*answer_from_groups=*/true);
   }
 
   const std::vector<dedup::Group>& groups = pruning.groups;
@@ -277,14 +235,7 @@ StatusOr<TopKCountResult> TopKCountQuery(
     if (recorder != nullptr) {
       recorder->RecordDegradation(result.degradation);
     }
-    result.answers.push_back(SynthesizeBoundedAnswer(
-        pruning, necessary, options.k, deadline, recorder.get(),
-        options.index_cache));
-    if (soft_fail.triggered()) return soft_fail.status();
-    result.pruning = std::move(pruning);
-    finish_metrics(&result);
-    finish_explain(&result);
-    return result;
+    return finish(/*answer_from_groups=*/true);
   }
 
   // §5.3: embed, score segments, run the DP.
@@ -329,14 +280,7 @@ StatusOr<TopKCountResult> TopKCountQuery(
       // segmentation output would not be meaningful, so fall back to the
       // bound-carrying dedup answer.
       result.quality = AnswerQuality::kBoundsOnly;
-      result.answers.push_back(SynthesizeBoundedAnswer(
-          pruning, necessary, options.k, deadline, recorder.get(),
-        options.index_cache));
-      if (soft_fail.triggered()) return soft_fail.status();
-      result.pruning = std::move(pruning);
-      finish_metrics(&result);
-      finish_explain(&result);
-      return result;
+      return finish(/*answer_from_groups=*/true);
     }
     // Dedup and the score table are complete; only the DP's threshold
     // exploration was cut short. The answers below come from a complete
@@ -435,14 +379,7 @@ StatusOr<TopKCountResult> TopKCountQuery(
       result.answers.push_back(std::move(answer));
     }
   }
-  result.pruning = std::move(pruning);
-  // Final sweep: a soft failure reported from any parallel region after
-  // the last stage checkpoint must still fail the query, not leak an OK
-  // result past a fault-injection run.
-  if (soft_fail.triggered()) return soft_fail.status();
-  finish_metrics(&result);
-  finish_explain(&result);
-  return result;
+  return finish(/*answer_from_groups=*/false);
 }
 
 }  // namespace topkdup::topk

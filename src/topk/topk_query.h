@@ -4,7 +4,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/metrics.h"
 #include "common/status.h"
 #include "dedup/pruned_dedup.h"
 #include "obs/explain.h"
@@ -64,10 +63,6 @@ struct TopKCountResult {
   /// True when pruning alone reduced the data to exactly K groups, making
   /// the single returned answer exact without any clustering.
   bool exact_from_pruning = false;
-  /// Registry delta covering the whole query (pruning, pair scoring,
-  /// embedding, segmentation DP); `pruning.metrics` holds the
-  /// pruning-stage-only subset.
-  metrics::MetricsSnapshot metrics;
   /// Whole-query explain report spanning dedup levels, embedding,
   /// segmentation DP, and answer decomposition (TopKCountOptions::explain).
   /// Null when explain was off. `pruning.explain` stays null here — the

@@ -114,21 +114,6 @@ TEST(ScopedTimerTest, ObservesOnceIntoHistogram) {
   ScopedTimer null_timer(nullptr);  // No-op; must not crash.
 }
 
-TEST(SnapshotTest, DeltaSubtractsCountersAndKeepsAfterGauges) {
-  Counter* c = Registry::Global().GetCounter("test.snapshot.delta");
-  Gauge* g = Registry::Global().GetGauge("test.snapshot.gauge");
-  c->Add(5);
-  g->Set(1.0);
-  const MetricsSnapshot before = Registry::Global().Snapshot();
-  c->Add(7);
-  g->Set(9.0);
-  const MetricsSnapshot after = Registry::Global().Snapshot();
-  const MetricsSnapshot delta = MetricsSnapshot::Delta(before, after);
-  EXPECT_EQ(delta.CounterValue("test.snapshot.delta"), 7u);
-  EXPECT_DOUBLE_EQ(delta.GaugeValue("test.snapshot.gauge"), 9.0);
-  EXPECT_EQ(delta.CounterValue("test.snapshot.absent"), 0u);
-}
-
 TEST(SnapshotTest, DeterministicSortedMerge) {
   Registry::Global().GetCounter("test.sorted.b")->Add(1);
   Registry::Global().GetCounter("test.sorted.a")->Add(1);

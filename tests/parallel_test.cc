@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "datagen/citation_gen.h"
@@ -170,6 +171,66 @@ TEST(ParallelDeterminismTest, PrunedDedupIdenticalAcrossThreadCounts) {
     ASSERT_EQ(base.upper_bounds.size(), other.upper_bounds.size());
     for (size_t g = 0; g < base.upper_bounds.size(); ++g) {
       EXPECT_EQ(base.upper_bounds[g], other.upper_bounds[g]);
+    }
+  }
+}
+
+/// Per-level work counters count one call's own work: two PrunedDedup
+/// calls overlapping on two threads over the fig2 2000-record bundle each
+/// report exactly what a solo call reports.
+TEST(ParallelDeterminismTest, ConcurrentPrunedDedupWorkMatchesSolo) {
+  datagen::CitationGenOptions gen;
+  gen.num_records = 2000;
+  gen.num_authors = 400;
+  gen.seed = 20090324;
+  auto data_or = datagen::GenerateCitations(gen);
+  ASSERT_TRUE(data_or.ok());
+  const record::Dataset& data = data_or.value();
+  auto corpus_or = predicates::Corpus::Build(&data, {});
+  ASSERT_TRUE(corpus_or.ok());
+  const predicates::Corpus& corpus = corpus_or.value();
+
+  predicates::CitationFields fields;
+  predicates::CitationS1 s1(&corpus, fields, 0.75 * corpus.MaxIdf(0));
+  predicates::CitationS2 s2(&corpus, fields);
+  predicates::QGramOverlapPredicate n1(&corpus, 0, 0.6);
+  predicates::QGramOverlapPredicate n2(&corpus, 0, 0.6, true);
+
+  const auto run = [&] {
+    dedup::PrunedDedupOptions options;
+    options.k = 10;
+    auto result_or =
+        dedup::PrunedDedup(data, {{&s1, &n1}, {&s2, &n2}}, options);
+    EXPECT_TRUE(result_or.ok());
+    return result_or.ok() ? result_or.value().levels
+                          : std::vector<dedup::LevelStats>{};
+  };
+  const std::vector<dedup::LevelStats> solo = run();
+  ASSERT_EQ(solo.size(), 2u);
+  ASSERT_GT(solo[0].blocking_probes, 0u);
+
+  std::vector<dedup::LevelStats> overlapped[2];
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+      overlapped[t] = run();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (const std::vector<dedup::LevelStats>& levels : overlapped) {
+    ASSERT_EQ(levels.size(), solo.size());
+    for (size_t l = 0; l < solo.size(); ++l) {
+      EXPECT_EQ(levels[l].n_after_prune, solo[l].n_after_prune);
+      EXPECT_EQ(levels[l].blocking_probes, solo[l].blocking_probes);
+      EXPECT_EQ(levels[l].predicate_evals, solo[l].predicate_evals);
+      EXPECT_EQ(levels[l].postings_scanned, solo[l].postings_scanned);
+      EXPECT_EQ(levels[l].postings_decoded, solo[l].postings_decoded);
+      EXPECT_EQ(levels[l].blocks_decoded, solo[l].blocks_decoded);
+      EXPECT_EQ(levels[l].blocks_skipped, solo[l].blocks_skipped);
     }
   }
 }

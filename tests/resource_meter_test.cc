@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/trace.h"
 
@@ -59,16 +60,57 @@ TEST(ResourceMeterTest, ChargeAccumulatesAndClampsNegatives) {
 }
 
 TEST(ResourceMeterTest, WorkUnitsAccumulatePerKind) {
+  metrics::Counter* pairs =
+      metrics::Registry::Global().GetCounter("test.meter.candidate_pairs");
+  metrics::Counter* decoded =
+      metrics::Registry::Global().GetCounter("test.meter.postings_decoded");
+  const uint64_t pairs_global = pairs->Value();
+  pairs->Add(1000);  // No meter attached: the registry alone sees it.
   ResourceMeter meter;
-  meter.ChargeWork("candidate_pairs", 100);
-  meter.ChargeWork("candidate_pairs", 50);
-  meter.ChargeWork("postings_decoded", 7);
-  EXPECT_EQ(meter.WorkUnits("candidate_pairs"), 150u);
-  EXPECT_EQ(meter.WorkUnits("postings_decoded"), 7u);
+  {
+    ScopedParallelism scoped(4);
+    ScopedMeterAttach attach(&meter);
+    pairs->Add(100);
+    pairs->Add(50);
+    pairs->Add(0);
+    // A read on the attached thread sees its own pending increments.
+    EXPECT_EQ(meter.WorkUnits("test.meter.candidate_pairs"), 150u);
+    // Pool workers charge the launching thread's meter.
+    ParallelFor(0, 64, 1, [&](size_t) { decoded->Increment(); });
+    EXPECT_EQ(meter.WorkUnits("test.meter.postings_decoded"), 64u);
+    {
+      // A nested attachment takes the increments made inside it.
+      ResourceMeter inner;
+      ScopedMeterAttach attach_inner(&inner);
+      pairs->Add(5);
+      EXPECT_EQ(inner.WorkUnits("test.meter.candidate_pairs"), 5u);
+    }
+  }
+  pairs->Add(7);  // Detached again: the meter keeps its total.
+  EXPECT_EQ(pairs->Value(), pairs_global + 1162);
+  EXPECT_EQ(meter.WorkUnits("test.meter.candidate_pairs"), 150u);
+  EXPECT_EQ(meter.WorkUnits("test.meter.postings_decoded"), 64u);
   EXPECT_EQ(meter.WorkUnits("never_charged"), 0u);
-  const auto work = meter.WorkBreakdown();
-  ASSERT_EQ(work.size(), 2u);
-  EXPECT_EQ(work[0].first, "candidate_pairs");
+  meter.Reset();
+  EXPECT_EQ(meter.WorkUnits("test.meter.candidate_pairs"), 0u);
+}
+
+TEST(ResourceMeterTest, CountersPastTheTallySlotsStillCharge) {
+  // The per-thread tally has 256 slots, indexed by registration ordinal;
+  // later-registered counters charge the attached meter directly.
+  metrics::Counter* late = nullptr;
+  for (int i = 0; i < 300; ++i) {
+    late = metrics::Registry::Global().GetCounter("test.meter.late." +
+                                                  std::to_string(i));
+  }
+  ASSERT_GE(late->id(), 256u);
+  ResourceMeter meter;
+  {
+    ScopedMeterAttach attach(&meter);
+    late->Add(3);
+    EXPECT_EQ(meter.WorkUnits(late->name()), 3u);
+  }
+  EXPECT_EQ(meter.WorkUnits(late->name()), 3u);
 }
 
 TEST(ResourceMeterTest, StageForSpanIsAFixedAllowlist) {

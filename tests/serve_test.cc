@@ -955,6 +955,48 @@ TEST_F(ServeTest, CpuAttributionFlowsToResponseAndRequestLog) {
   EXPECT_GT(service.cpu_window_seconds(), 0.0);
 }
 
+TEST_F(ServeTest, RequestLogWorkCountsOnlyItsOwnQuery) {
+  Watchdog watchdog(180);
+  // The request-log `work` object of a query is that query's own work:
+  // twelve identical queries on two workers, overlapping pairwise, each
+  // log exactly what the same query logs when it runs alone. Submitting
+  // one round per worker keeps queue waits (and deadline expiry under
+  // sanitizers) out of the picture.
+  const auto logged_work = [&](int workers) {
+    ServiceOptions options = QuietOptions();
+    options.workers = workers;
+    options.default_deadline_ms = 10000;
+    options.request_log.ok_sample_every = 1;
+    QueryService service(options);
+    EXPECT_TRUE(
+        service.RegisterDataset("cites", MakeCitationBundle(data_)).ok());
+    for (int round = 0; round < 12 / workers; ++round) {
+      std::vector<std::future<QueryResponse>> futures;
+      for (int i = 0; i < workers; ++i) {
+        futures.push_back(service.Submit(CountRequest("cites")));
+      }
+      for (std::future<QueryResponse>& future : futures) {
+        EXPECT_EQ(future.get().outcome, ServedOutcome::kExact);
+      }
+    }
+    std::vector<std::string> work;
+    for (const std::string& line : service.request_log().RecentLines()) {
+      const size_t begin = line.find("\"work\":{");
+      if (begin == std::string::npos) continue;
+      work.push_back(line.substr(begin, line.find('}', begin) - begin));
+    }
+    return work;
+  };
+  const std::vector<std::string> solo = logged_work(1);
+  ASSERT_EQ(solo.size(), 12u);
+  EXPECT_NE(solo[0].find("predicates.blocked_index.candidates"),
+            std::string::npos);
+  for (const std::string& work : solo) EXPECT_EQ(work, solo[0]);
+  const std::vector<std::string> overlapped = logged_work(2);
+  ASSERT_EQ(overlapped.size(), 12u);
+  for (const std::string& work : overlapped) EXPECT_EQ(work, solo[0]);
+}
+
 TEST_F(ServeTest, PredictedMissShedCitesMeasuredUnitCost) {
   Watchdog watchdog(120);
   ServiceOptions options = QuietOptions();

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <set>
 
+#include "common/deadline.h"
+#include "common/metrics.h"
 #include "datagen/citation_gen.h"
 #include "predicates/citation.h"
 #include "predicates/corpus.h"
@@ -164,6 +167,33 @@ TEST_F(TopKQueryTest, RankQueryOrdersByWeightWithValidBounds) {
   for (const RankedGroup& rg : result.ranked) {
     EXPECT_GE(rg.upper_bound, rg.group.weight);
   }
+}
+
+TEST_F(TopKQueryTest, CancelledRankQueryBoundsHonorTheCancel) {
+  // Cancelled before the call: the pipeline stops at its first level
+  // boundary, and the degraded bounds must honor the cancel as well —
+  // every bound +inf, with no blocking-index probe paid after it.
+  CancelToken cancel;
+  cancel.Cancel();
+  Deadline deadline;
+  deadline.set_cancel_token(&cancel);
+  TopKRankOptions options;
+  options.k = 2;
+  options.deadline = &deadline;
+  const metrics::Counter* probes =
+      metrics::Registry::Global().GetCounter(
+          "predicates.blocked_index.candidates");
+  const uint64_t probes_before = probes->Value();
+  auto result_or = TopKRankQuery(data_, Levels(), options);
+  ASSERT_TRUE(result_or.ok());
+  const TopKRankResult& result = result_or.value();
+  EXPECT_TRUE(result.degradation.degraded);
+  EXPECT_EQ(result.degradation.reason, DeadlineReason::kCancelled);
+  ASSERT_EQ(result.ranked.size(), data_.size());  // Nothing collapsed.
+  for (const RankedGroup& rg : result.ranked) {
+    EXPECT_EQ(rg.upper_bound, std::numeric_limits<double>::infinity());
+  }
+  EXPECT_EQ(probes->Value(), probes_before);
 }
 
 TEST_F(TopKQueryTest, ThresholdedRankQueryPrunesLightIsolatedGroups) {
