@@ -58,7 +58,7 @@ std::vector<int> Flags::GetIntList(const std::string& key,
       out.push_back(static_cast<int>(std::strtol(piece.c_str(), nullptr, 10)));
     }
   }
-  return out.empty() ? fallback : out;
+  return out;
 }
 
 TablePrinter::TablePrinter(std::vector<std::string> headers,

@@ -25,7 +25,9 @@ class Flags {
                         const std::string& fallback) const;
   bool GetBool(const std::string& key, bool fallback) const;
 
-  /// Comma-separated integer list.
+  /// Comma-separated integer list. `fallback` only when the flag is
+  /// absent: a present flag with an empty value (`--rates=`) yields an
+  /// empty list.
   std::vector<int> GetIntList(const std::string& key,
                               const std::vector<int>& fallback) const;
 

@@ -149,10 +149,9 @@ void BM_PruneDeadline(benchmark::State& state) {
   const Deadline deadline =
       Deadline::WithWorkBudget(std::numeric_limits<uint64_t>::max());
   for (auto _ : state) {
-    dedup::PruneOptions options;
-    options.deadline = &deadline;
     dedup::PruneResult out =
-        dedup::PruneGroups(w.collapsed, *w.n1, w.M, options);
+        dedup::PruneGroups(w.collapsed, *w.n1, w.M, {},
+                           /*exact_bounds=*/false, {.deadline = &deadline});
     benchmark::DoNotOptimize(out.groups.size());
   }
   state.SetItemsProcessed(state.iterations() *

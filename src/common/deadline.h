@@ -42,13 +42,15 @@ enum class DeadlineReason : int {
 const char* DeadlineReasonName(DeadlineReason reason);
 
 /// A query budget: wall-clock time, abstract work units, a cancel token, or
-/// any combination. Stages receive a `const Deadline*` (null = unlimited —
-/// the absent-deadline hot path is a single pointer test, mirroring the
-/// explain null-recorder pattern) and poll it cooperatively:
+/// any combination. Stages receive it as QueryContext::deadline
+/// (common/query_context.h) and copy it into a local `const Deadline*`
+/// (null = unlimited — the absent-deadline hot path is a single pointer
+/// test, mirroring the explain null-recorder pattern) and poll it
+/// cooperatively:
 ///
 ///   * `Expired()` — the full check (cancel, work budget, wall clock). Work
 ///     budget expiry must be decided only at serial checkpoints (stage and
-///     pass boundaries, per-probe, per-pivot, per-DP-row) so that a
+///     pass boundaries, per-probe, per-DP-row) so that a
 ///     work-budget-limited query is bit-identical at any thread count.
 ///   * `ExpiredUrgent()` — cancel + wall clock only, never the work budget.
 ///     Safe inside parallel shards: the modes it responds to are inherently
@@ -77,9 +79,13 @@ class Deadline {
 
   /// A wall-clock budget of `millis` from now.
   static Deadline AfterMillis(int64_t millis);
-  /// An abstract work-unit budget (predicate evals, edges examined, DP
-  /// cells — whatever a stage charges via ChargeWork). Deterministic:
-  /// independent of wall clock and thread count.
+  /// An abstract work-unit budget: the sum of what the stages charge via
+  /// ChargeWork. Collapse and prune add pair evaluations; the lower bound
+  /// adds CPN edges examined plus 1 per probe; pair scoring adds
+  /// enumerated pairs; SegmentScorer adds cells filled; TopKSegmentation
+  /// adds min(band, i) per DP row i. These units are not the request-log
+  /// `work` counters (DESIGN.md §6e). Deterministic: independent of wall
+  /// clock and thread count.
   static Deadline WithWorkBudget(uint64_t units);
 
   /// Attaches a cancel token (not owned; must outlive the deadline).

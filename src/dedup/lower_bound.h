@@ -4,9 +4,8 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/deadline.h"
+#include "common/query_context.h"
 #include "dedup/group.h"
-#include "obs/explain.h"
 #include "predicates/pair_predicate.h"
 
 namespace topkdup::predicates {
@@ -60,18 +59,6 @@ struct LowerBoundOptions {
   };
   Bound bound = Bound::kAuto;
 
-  /// When non-null, receives every CPN probe (prefix size, certified
-  /// bound, which search phase asked) plus the final m/M summary.
-  obs::ExplainRecorder* recorder = nullptr;
-
-  /// When non-null, polled between CPN probes (full check, deterministic
-  /// under a work budget) and during edge growth (urgent wall-clock/cancel
-  /// check). A probe interrupted mid-growth is abandoned whole — a CPN
-  /// bound over a partially grown edge set could falsely certify
-  /// distinctness, so partial probes never contribute. Necessary-predicate
-  /// edge enumerations are charged as work units.
-  const Deadline* deadline = nullptr;
-
   /// When non-null, the blocking index over the group representatives is
   /// shared through this cache (resident serving: the same weight-sorted
   /// reps are probed on every request); null builds a call-local index.
@@ -82,10 +69,19 @@ struct LowerBoundOptions {
 /// given necessary predicate, per paper §4.2: the CPN lower bound of the
 /// graph induced by N on a prefix certifies that many distinct entities,
 /// and any prefix with CPN >= k yields the bound M = weight(c_m).
+///
+/// `ctx.explain`, when non-null, receives every CPN probe (prefix size,
+/// certified bound, which search phase asked) plus the final m/M summary.
+/// `ctx.deadline`, when non-null, is polled between CPN probes (full
+/// check, deterministic under a work budget) and during edge growth
+/// (urgent wall-clock/cancel check). A probe interrupted mid-growth is
+/// abandoned whole: a CPN bound over a partially grown edge set could
+/// falsely certify distinctness, so partial probes never contribute. Each
+/// probe charges its necessary-predicate edges examined plus 1 as work.
 LowerBoundResult EstimateLowerBound(
     const std::vector<Group>& groups,
     const predicates::PairPredicate& necessary, int k,
-    const LowerBoundOptions& options = {});
+    const LowerBoundOptions& options = {}, const QueryContext& ctx = {});
 
 }  // namespace topkdup::dedup
 

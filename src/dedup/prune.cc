@@ -6,9 +6,11 @@
 #include <limits>
 
 #include "common/check.h"
+#include "common/deadline.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/trace.h"
+#include "obs/explain.h"
 #include "predicates/blocked_index.h"
 #include "predicates/index_cache.h"
 
@@ -42,7 +44,8 @@ struct PruneCounters {
 
 PruneResult PruneGroups(const std::vector<Group>& groups,
                         const predicates::PairPredicate& necessary, double M,
-                        const PruneOptions& options, bool exact_bounds) {
+                        const PruneOptions& options, bool exact_bounds,
+                        const QueryContext& ctx) {
   TOPKDUP_CHECK(options.passes >= 1);
   const size_t n = groups.size();
   trace::Span span("dedup.prune");
@@ -57,7 +60,8 @@ PruneResult PruneGroups(const std::vector<Group>& groups,
                                              reps);
   const predicates::BlockedIndex& index = index_handle.get();
 
-  const Deadline* deadline = options.deadline;
+  const Deadline* deadline = ctx.deadline;
+  obs::ExplainRecorder* recorder = ctx.explain;
   PruneResult result;
   result.unconditional_bounds = exact_bounds && options.passes == 1;
 
@@ -108,8 +112,7 @@ PruneResult PruneGroups(const std::vector<Group>& groups,
         ++examined;
         // Sampling keys off the weight-sorted group index, so the explain
         // event set is identical at any thread count.
-        const bool sampled = options.recorder != nullptr &&
-                             options.recorder->SampleKey(i);
+        const bool sampled = recorder != nullptr && recorder->SampleKey(i);
         size_t contributing = 0;
         bool early_exit = false;
         double sum = groups[i].weight;
@@ -153,7 +156,7 @@ PruneResult PruneGroups(const std::vector<Group>& groups,
           } else {
             decision.verdict = obs::PruneVerdict::kPrunedBoundBelowM;
           }
-          options.recorder->RecordPruneDecision(decision);
+          recorder->RecordPruneDecision(decision);
         }
       }
       counters.groups_examined->Add(examined);
@@ -177,9 +180,8 @@ PruneResult PruneGroups(const std::vector<Group>& groups,
   }
   counters.groups_pruned->Add(n - result.groups.size());
   span.AddArg("groups_out", static_cast<int64_t>(result.groups.size()));
-  if (options.recorder != nullptr) {
-    options.recorder->RecordPruneSummary(options.passes, M, n,
-                                         result.groups.size());
+  if (recorder != nullptr) {
+    recorder->RecordPruneSummary(options.passes, M, n, result.groups.size());
   }
   return result;
 }
@@ -187,9 +189,10 @@ PruneResult PruneGroups(const std::vector<Group>& groups,
 std::vector<double> DegradedUpperBounds(
     const std::vector<Group>& groups, size_t count,
     const std::vector<double>& bounds, bool unconditional,
-    const predicates::PairPredicate& necessary, const Deadline* deadline,
-    predicates::IndexCache* index_cache) {
+    const predicates::PairPredicate& necessary,
+    predicates::IndexCache* index_cache, const QueryContext& ctx) {
   count = std::min(count, groups.size());
+  const Deadline* deadline = ctx.deadline;
   if (unconditional && bounds.size() == groups.size()) {
     return {bounds.begin(), bounds.begin() + count};
   }

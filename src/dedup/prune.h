@@ -3,9 +3,8 @@
 
 #include <vector>
 
-#include "common/deadline.h"
+#include "common/query_context.h"
 #include "dedup/group.h"
-#include "obs/explain.h"
 #include "predicates/pair_predicate.h"
 
 namespace topkdup::predicates {
@@ -19,18 +18,6 @@ struct PruneOptions {
   /// The paper observed two passes give ~2x more pruning than one, with
   /// little gain beyond two.
   int passes = 2;
-  /// When non-null, receives the prune summary plus per-group decisions
-  /// (bound vs. M, decisive component) sampled deterministically by group
-  /// index — the same decisions are recorded at any thread count.
-  obs::ExplainRecorder* recorder = nullptr;
-  /// When non-null, polled between passes (full check — the only place
-  /// work-budget expiry is decided, keeping budget-limited runs
-  /// deterministic) and at shard starts within a pass (urgent wall-clock/
-  /// cancel check). A skipped shard keeps its groups alive with their
-  /// previous valid upper bound (+inf in pass 1), so a degraded prune only
-  /// under-prunes — never discards a potential answer group. Necessary-
-  /// predicate evaluations are charged as work units.
-  const Deadline* deadline = nullptr;
   /// When non-null, shares the blocking index over the group
   /// representatives across calls (resident serving); null builds a
   /// call-local index.
@@ -73,27 +60,40 @@ struct PruneResult {
 /// w_i >= M are never pruned. The scan over a group's candidates stops
 /// early once its bound provably exceeds M, unless `exact_bounds` — needed
 /// by the rank queries that compare bounds across groups — is requested.
+///
+/// `ctx.explain`, when non-null, receives the prune summary plus per-group
+/// decisions (bound vs. M, decisive component) sampled deterministically
+/// by group index, so the same decisions are recorded at any thread count.
+/// `ctx.deadline`, when non-null, is polled between passes (full check:
+/// the only place work-budget expiry is decided, keeping budget-limited
+/// runs deterministic) and at shard starts within a pass (urgent
+/// wall-clock/cancel check). A skipped shard keeps its groups alive with
+/// their previous valid upper bound (+inf in pass 1), so a degraded prune
+/// only under-prunes and never discards a potential answer group. Pair
+/// evaluations are charged as work.
 PruneResult PruneGroups(const std::vector<Group>& groups,
                         const predicates::PairPredicate& necessary, double M,
                         const PruneOptions& options = {},
-                        bool exact_bounds = false);
+                        bool exact_bounds = false,
+                        const QueryContext& ctx = {});
 
 /// Sound count upper bounds for groups[0, count) of a pipeline state that
 /// a deadline stopped: the `count_upper` ends of degraded answers.
 /// Reuses `bounds` when they are `unconditional`
 /// (PruneResult::unconditional_bounds) and aligned with `groups`;
 /// otherwise recomputes first-pass §4.3 bounds u_i = w_i + the weights of
-/// all N-neighbors among `groups`. The recomputation is urgent-polled per
-/// shard, so after cancel or wall-clock expiry it probes nothing and every
-/// bound is +inf — the prompt-return guarantee outranks bound tightness.
+/// all N-neighbors among `groups`. The recomputation polls `ctx.deadline`
+/// urgently per shard, so after cancel or wall-clock expiry it probes
+/// nothing and every bound is +inf — the prompt-return guarantee outranks
+/// bound tightness.
 /// Only after a work-budget expiry, which is latched and would skip every
 /// shard, does it run unpolled: it is bounded by `count` and thread-count
 /// deterministic. Never charges work.
 std::vector<double> DegradedUpperBounds(
     const std::vector<Group>& groups, size_t count,
     const std::vector<double>& bounds, bool unconditional,
-    const predicates::PairPredicate& necessary, const Deadline* deadline,
-    predicates::IndexCache* index_cache);
+    const predicates::PairPredicate& necessary,
+    predicates::IndexCache* index_cache, const QueryContext& ctx = {});
 
 }  // namespace topkdup::dedup
 

@@ -1,6 +1,5 @@
 #include "dedup/pruned_dedup.h"
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -12,6 +11,7 @@
 #include "common/timer.h"
 #include "common/trace.h"
 #include "dedup/collapse.h"
+#include "obs/explain.h"
 
 namespace topkdup::dedup {
 
@@ -39,7 +39,7 @@ LevelWork ReadLevelWork(const resource::ResourceMeter& meter) {
 
 StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
     std::vector<Group> groups, const std::vector<PredicateLevel>& levels,
-    const PrunedDedupOptions& options) {
+    const PrunedDedupOptions& options, const QueryContext& ctx) {
   if (options.k < 1) {
     return Status::InvalidArgument("PrunedDedup: k must be >= 1");
   }
@@ -50,7 +50,8 @@ StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
     return Status::InvalidArgument("PrunedDedup: at least one level");
   }
   ScopedParallelism parallelism(options.threads);
-  const Deadline* deadline = options.deadline;
+  const Deadline* deadline = ctx.deadline;
+  obs::ExplainRecorder* recorder = ctx.explain;
   // Receives soft failures reported by code below us with no Status
   // channel (the thread pool's fault site); checked after each stage.
   ScopedSoftFailHandler soft_fail;
@@ -68,22 +69,8 @@ StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
   pipeline_span.AddArg("k", options.k);
   pipeline_span.AddArg("levels", static_cast<int64_t>(levels.size()));
   pipeline_span.AddArg("groups_in", static_cast<int64_t>(groups.size()));
-  if (options.query_id != 0) {
-    pipeline_span.AddArg("query_id",
-                         static_cast<int64_t>(options.query_id));
-  }
-
-  // The recorder is owned here unless the caller (e.g. TopKCountQuery)
-  // supplied one to compose a whole-query report.
-  std::unique_ptr<obs::ExplainRecorder> owned_recorder;
-  obs::ExplainRecorder* recorder = options.explain_recorder;
-  if (recorder == nullptr && options.explain) {
-    owned_recorder =
-        std::make_unique<obs::ExplainRecorder>(options.explain_sample_rate);
-    if (options.query_id != 0) {
-      owned_recorder->set_query_id(options.query_id);
-    }
-    recorder = owned_recorder.get();
+  if (ctx.query_id != 0) {
+    pipeline_span.AddArg("query_id", static_cast<int64_t>(ctx.query_id));
   }
 
   PrunedDedupResult result;
@@ -141,12 +128,9 @@ StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
       TOPKDUP_FAULT_RETURN_IF("dedup.lower_bound");
       timer.Reset();
       LowerBoundOptions lb_options = options.lower_bound;
-      lb_options.recorder = recorder;
-      lb_options.deadline = deadline;
       lb_options.index_cache = options.index_cache;
-      const LowerBoundResult lb =
-          EstimateLowerBound(groups, *level.necessary, options.k,
-                             lb_options);
+      const LowerBoundResult lb = EstimateLowerBound(
+          groups, *level.necessary, options.k, lb_options, ctx);
       stats.lower_bound_seconds = timer.ElapsedSeconds();
       stats.m = lb.m;
       stats.M = lb.M;
@@ -168,11 +152,10 @@ StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
         timer.Reset();
         PruneOptions prune_options;
         prune_options.passes = options.prune_passes;
-        prune_options.recorder = recorder;
-        prune_options.deadline = deadline;
         prune_options.index_cache = options.index_cache;
-        PruneResult pruned = PruneGroups(groups, *level.necessary, lb.M,
-                                         prune_options, options.exact_bounds);
+        PruneResult pruned =
+            PruneGroups(groups, *level.necessary, lb.M, prune_options,
+                        options.exact_bounds, ctx);
         if (soft_fail.triggered()) return soft_fail.status();
         stats.prune_seconds = timer.ElapsedSeconds();
         stats.groups_pruned = groups.size() - pruned.groups.size();
@@ -231,17 +214,14 @@ StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
   }
   pipeline_span.AddArg("groups_out",
                        static_cast<int64_t>(result.groups.size()));
-  if (owned_recorder != nullptr) {
-    result.explain = std::make_shared<const obs::ExplainReport>(
-        owned_recorder->Finish());
-  }
   return result;
 }
 
 StatusOr<PrunedDedupResult> PrunedDedup(
     const record::Dataset& data, const std::vector<PredicateLevel>& levels,
-    const PrunedDedupOptions& options) {
-  return PrunedDedupFromGroups(MakeSingletonGroups(data), levels, options);
+    const PrunedDedupOptions& options, const QueryContext& ctx) {
+  return PrunedDedupFromGroups(MakeSingletonGroups(data), levels, options,
+                               ctx);
 }
 
 }  // namespace topkdup::dedup

@@ -4,12 +4,15 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "obs/explain.h"
 
 namespace topkdup::embed {
 
 std::vector<size_t> GreedyEmbedding(const cluster::PairScores& scores,
                                     const std::vector<double>& weights,
-                                    const GreedyEmbeddingOptions& options) {
+                                    const GreedyEmbeddingOptions& options,
+                                    const QueryContext& ctx) {
+  obs::ExplainRecorder* recorder = ctx.explain;
   const size_t n = scores.item_count();
   TOPKDUP_CHECK(options.alpha > 0.0 && options.alpha <= 1.0);
   TOPKDUP_CHECK(weights.empty() || weights.size() == n);
@@ -44,8 +47,7 @@ std::vector<size_t> GreedyEmbedding(const cluster::PairScores& scores,
     size_t chosen = n;
     // Sampled by step index, so the recorded picks are the same for a
     // given input regardless of how the caller parallelized upstream.
-    const bool record_pick = options.recorder != nullptr &&
-                             options.recorder->SampleKey(i);
+    const bool record_pick = recorder != nullptr && recorder->SampleKey(i);
     double best_affinity = 0.0;
     size_t runner_up = n;
     double runner_up_affinity = 0.0;
@@ -76,7 +78,7 @@ std::vector<size_t> GreedyEmbedding(const cluster::PairScores& scores,
       ++regions;
     }
     if (record_pick) {
-      options.recorder->RecordEmbeddingPick(
+      recorder->RecordEmbeddingPick(
           {i, chosen, new_region ? 0.0 : best_affinity, runner_up,
            runner_up_affinity, new_region});
     }
@@ -93,8 +95,8 @@ std::vector<size_t> GreedyEmbedding(const cluster::PairScores& scores,
       value[other] += s;
     }
   }
-  if (options.recorder != nullptr) {
-    options.recorder->RecordEmbeddingSummary(n, options.alpha, regions);
+  if (recorder != nullptr) {
+    recorder->RecordEmbeddingSummary(n, options.alpha, regions);
   }
   return order;
 }

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "cluster/pair_scores.h"
-#include "obs/explain.h"
+#include "common/query_context.h"
 
 namespace topkdup::embed {
 
@@ -12,10 +12,6 @@ struct GreedyEmbeddingOptions {
   /// Aging factor alpha of paper Eq. (3): positions j far behind the front
   /// contribute alpha^(i-j-1) of their similarity. In (0, 1].
   double alpha = 0.5;
-  /// When non-null, receives the embedding summary plus sampled placement
-  /// picks (winning Eq.-3 affinity and the runner-up it beat), keyed by
-  /// step so the sampled set is deterministic.
-  obs::ExplainRecorder* recorder = nullptr;
 };
 
 /// Greedy linear embedding of paper §5.3.1: repeatedly appends the item
@@ -27,9 +23,14 @@ struct GreedyEmbeddingOptions {
 /// Only positive pair scores attract; negative scores are treated as
 /// repulsion (they subtract affinity), which keeps likely non-duplicates
 /// apart in the ordering.
+///
+/// `ctx.explain`, when non-null, receives the embedding summary plus
+/// sampled placement picks (winning Eq.-3 affinity and the runner-up it
+/// beat), keyed by step so the sampled set is deterministic.
 std::vector<size_t> GreedyEmbedding(const cluster::PairScores& scores,
                                     const std::vector<double>& weights = {},
-                                    const GreedyEmbeddingOptions& options = {});
+                                    const GreedyEmbeddingOptions& options = {},
+                                    const QueryContext& ctx = {});
 
 /// The linear-arrangement objective sum_{i<j} |pos_i - pos_j| * max(P_ij, 0)
 /// that embeddings try to minimize (paper §5.3.1). Used by tests and the

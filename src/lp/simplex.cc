@@ -49,19 +49,10 @@ StatusOr<LpResult> SolveLp(int num_vars,
   const double eps = options.epsilon;
   int iterations = 0;
   int degenerate_streak = 0;
-  bool degraded = false;
   while (true) {
-    // Per-pivot deadline poll (the solve is serial, so the full check is
-    // deterministic under a work budget). Every simplex basis is feasible,
-    // so stopping here leaves a valid suboptimal solution.
-    if (options.deadline != nullptr && options.deadline->Expired()) {
-      degraded = true;
-      break;
-    }
     if (++iterations > options.max_iterations) {
       return Status::Internal("SolveLp: iteration cap exceeded");
     }
-    if (options.deadline != nullptr) options.deadline->ChargeWork(1);
     // Pricing: Dantzig (most negative reduced cost); Bland (lowest index)
     // after a long degenerate streak to guarantee termination.
     size_t pivot_col = width;  // Sentinel.
@@ -126,7 +117,6 @@ StatusOr<LpResult> SolveLp(int num_vars,
     result.objective += objective[v] * result.x[v];
   }
   result.iterations = iterations;
-  result.degraded = degraded;
   return result;
 }
 

@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/deadline.h"
 #include "common/status.h"
 
 namespace topkdup::lp {
@@ -21,20 +20,12 @@ struct LpOptions {
   double epsilon = 1e-9;
   /// Refuse problems whose dense tableau would exceed this many doubles.
   size_t max_tableau_cells = 200u * 1000u * 1000u;
-  /// When non-null, polled before each pivot. On expiry the solver stops
-  /// and returns the current basic feasible solution (every intermediate
-  /// simplex basis is feasible; the objective is merely suboptimal) with
-  /// `degraded` set. Pivots are charged as work units.
-  const Deadline* deadline = nullptr;
 };
 
 struct LpResult {
   std::vector<double> x;
   double objective = 0.0;
   int iterations = 0;
-  /// True when the deadline stopped the solve before optimality; `x` is a
-  /// feasible point and `objective` a valid lower bound on the optimum.
-  bool degraded = false;
 };
 
 /// Maximizes objective . x subject to the given <= constraints and x >= 0

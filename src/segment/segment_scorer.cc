@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/check.h"
+#include "common/deadline.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/trace.h"
@@ -12,8 +13,9 @@ namespace topkdup::segment {
 
 SegmentScorer::SegmentScorer(const cluster::PairScores& scores,
                              const std::vector<size_t>& order, size_t band,
-                             Objective objective, const Deadline* deadline)
+                             Objective objective, const QueryContext& ctx)
     : n_(order.size()), band_(std::max<size_t>(band, 1)) {
+  const Deadline* deadline = ctx.deadline;
   TOPKDUP_CHECK(order.size() == scores.item_count());
   trace::Span span("segment.scorer.fill");
   span.AddArg("rows", static_cast<int64_t>(n_));

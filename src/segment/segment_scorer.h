@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "cluster/pair_scores.h"
-#include "common/deadline.h"
+#include "common/query_context.h"
 
 namespace topkdup::segment {
 
@@ -38,14 +38,15 @@ class SegmentScorer {
   /// than `band` positions are not scored (the DP never asks for them;
   /// this is the paper's "do not consider clusters with too many
   /// dissimilar points" speedup).
-  /// When `deadline` is non-null it is checked once at entry (full check)
-  /// and urgent-polled per row during the fill; skipped rows keep score 0,
-  /// which only worsens DP segment quality, never validity. DP cell fills
-  /// are charged as work units after the (deterministically sized) fill.
+  /// When `ctx.deadline` is non-null it is checked once at entry (full
+  /// check) and urgent-polled per row during the fill; skipped rows keep
+  /// score 0, which only worsens DP segment quality, never validity. The
+  /// cells filled are charged as work after the (deterministically sized)
+  /// fill.
   SegmentScorer(const cluster::PairScores& scores,
                 const std::vector<size_t>& order, size_t band,
                 Objective objective = Objective::kSumPositive,
-                const Deadline* deadline = nullptr);
+                const QueryContext& ctx = {});
 
   /// Score of span [i, j], 0-based inclusive positions, j - i < band.
   double Score(size_t i, size_t j) const {

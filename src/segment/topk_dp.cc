@@ -7,6 +7,7 @@
 #include <unordered_set>
 
 #include "common/check.h"
+#include "common/deadline.h"
 #include "common/strings.h"
 
 namespace topkdup::segment {
@@ -124,7 +125,8 @@ std::vector<Segmentation> BestSegmentations(const SegmentScorer& scorer,
 
 StatusOr<std::vector<TopKAnswer>> TopKSegmentation(
     const SegmentScorer& scorer, const std::vector<size_t>& order,
-    const std::vector<double>& weights, const TopKDpOptions& options) {
+    const std::vector<double>& weights, const TopKDpOptions& options,
+    const QueryContext& ctx) {
   const size_t n = scorer.size();
   const size_t band = scorer.band();
   const int k = options.k;
@@ -159,7 +161,7 @@ StatusOr<std::vector<TopKAnswer>> TopKSegmentation(
   std::vector<TopKAnswer> results;
   std::unordered_set<std::string> seen;
 
-  const Deadline* deadline = options.deadline;
+  const Deadline* deadline = ctx.deadline;
   for (double threshold : thresholds) {
     // Per-threshold boundary: answers from fully processed thresholds are
     // final, so stopping here returns a sound (merely less explored)

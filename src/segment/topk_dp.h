@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "cluster/pair_scores.h"
-#include "common/deadline.h"
+#include "common/query_context.h"
 #include "common/status.h"
 #include "segment/segment_scorer.h"
 
@@ -49,13 +49,6 @@ struct TopKDpOptions {
   /// candidate threshold but may miss an optimum whose critical threshold
   /// was dropped. 0 = no cap.
   size_t max_thresholds = 64;
-  /// When non-null, polled per candidate threshold and per DP row (the DP
-  /// is serial, so both checks are deterministic under a work budget). On
-  /// expiry the answers already completed are returned; a threshold whose
-  /// DP was interrupted mid-table contributes nothing. Callers detect the
-  /// truncation via deadline->expired(). DP cell visits are charged as
-  /// work units row by row.
-  const Deadline* deadline = nullptr;
 };
 
 /// Finds the R highest-scoring TopK answers over all segmentations of the
@@ -69,9 +62,17 @@ struct TopKDpOptions {
 /// by decreasing score; fewer when the order admits fewer than R distinct
 /// qualifying segmentations. Errors when k < 1, r < 1, or the order cannot
 /// produce K segments.
+///
+/// `ctx.deadline`, when non-null, is polled per candidate threshold and
+/// per DP row (the DP is serial, so both checks are deterministic under a
+/// work budget). On expiry the answers already completed are returned; a
+/// threshold whose DP was interrupted mid-table contributes nothing.
+/// Callers detect the truncation via deadline->expired(). Each DP row i
+/// charges min(band, i) as work.
 StatusOr<std::vector<TopKAnswer>> TopKSegmentation(
     const SegmentScorer& scorer, const std::vector<size_t>& order,
-    const std::vector<double>& weights, const TopKDpOptions& options);
+    const std::vector<double>& weights, const TopKDpOptions& options,
+    const QueryContext& ctx = {});
 
 /// The R highest-scoring *unconstrained* segmentations (no TopK answer
 /// designation) — the partition-quality workhorse used by the fig7

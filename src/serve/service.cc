@@ -854,7 +854,8 @@ void QueryService::RunAttempts(DatasetState& ds, Pending& pending,
       // Attribute this attempt's CPU — on this worker and on every pool
       // worker its regions fan out to — to the request's meter.
       resource::ScopedMeterAttach meter_attach(&pending.meter);
-      attempt_or = RunOnce(ds, pending.request, deadline, pending.id);
+      attempt_or = RunOnce(ds, pending.request,
+                           {.deadline = &deadline, .query_id = pending.id});
     }
     const double exec_seconds = SecondsSince(start);
     const double attempt_cpu = pending.meter.CpuSeconds() - cpu_before;
@@ -906,14 +907,13 @@ void QueryService::RunAttempts(DatasetState& ds, Pending& pending,
 
 StatusOr<QueryResponse> QueryService::RunOnce(DatasetState& ds,
                                               const QueryRequest& request,
-                                              const Deadline& deadline,
-                                              uint64_t query_id) {
+                                              QueryContext ctx) {
   TOPKDUP_FAULT_RETURN_IF("serve.query");
   // The query_id arg on this span is the join key back to the request-log
   // line and any captured explain report for this query.
   trace::Span span("serve.query");
-  if (query_id != 0) {
-    span.AddArg("query_id", static_cast<int64_t>(query_id));
+  if (ctx.query_id != 0) {
+    span.AddArg("query_id", static_cast<int64_t>(ctx.query_id));
   }
   QueryResponse response;
   response.status = Status::OK();
@@ -921,13 +921,11 @@ StatusOr<QueryResponse> QueryService::RunOnce(DatasetState& ds,
     topk::TopKRankOptions rank_options;
     rank_options.k = request.k;
     rank_options.prune_passes = options_.rank_prune_passes;
-    rank_options.deadline = &deadline;
     rank_options.index_cache = &ds.index_cache;
-    rank_options.query_id = query_id;
     TOPKDUP_ASSIGN_OR_RETURN(
         topk::TopKRankResult rank,
-        topk::TopKRankQuery(*ds.bundle.data, ds.bundle.levels,
-                            rank_options));
+        topk::TopKRankQuery(*ds.bundle.data, ds.bundle.levels, rank_options,
+                            ctx));
     response.outcome = rank.degradation.degraded
                            ? ServedOutcome::kDegraded
                            : ServedOutcome::kExact;
@@ -937,14 +935,14 @@ StatusOr<QueryResponse> QueryService::RunOnce(DatasetState& ds,
 
   topk::TopKCountOptions query_options;
   query_options.r = request.r;
-  query_options.deadline = &deadline;
-  query_options.query_id = query_id;
   // Slow-query capture needs an explain report to snapshot, so arm one
-  // (sampled) whenever slow detection is on.
+  // (sampled) whenever slow detection is on. The report is this attempt's
+  // and rides on its response, never on the answer cache.
+  std::optional<obs::ExplainRecorder> recorder;
   if (request_log_->slow_enabled()) {
-    query_options.explain = true;
-    query_options.explain_sample_rate =
-        options_.request_log.slow_explain_sample_rate;
+    recorder.emplace(options_.request_log.slow_explain_sample_rate);
+    if (ctx.query_id != 0) recorder->set_query_id(ctx.query_id);
+    ctx.explain = &*recorder;
   }
   // The parallel pool is process-wide and regions already serialize;
   // per-query overrides from concurrent workers would race, so leave the
@@ -991,7 +989,7 @@ StatusOr<QueryResponse> QueryService::RunOnce(DatasetState& ds,
         static_cast<size_t>(request.k), snapshot->reps.size()));
     TOPKDUP_ASSIGN_OR_RETURN(
         response.result,
-        ds.stream->QuerySnapshot(*snapshot, query_options));
+        ds.stream->QuerySnapshot(*snapshot, query_options, ctx));
   } else {
     query_options.k = static_cast<int>(std::min<size_t>(
         static_cast<size_t>(request.k), ds.bundle.data->size()));
@@ -1002,7 +1000,11 @@ StatusOr<QueryResponse> QueryService::RunOnce(DatasetState& ds,
     TOPKDUP_ASSIGN_OR_RETURN(
         response.result,
         topk::TopKCountQuery(*ds.bundle.data, ds.bundle.levels,
-                             ds.bundle.scorer, query_options));
+                             ds.bundle.scorer, query_options, ctx));
+  }
+  if (recorder.has_value()) {
+    response.explain =
+        std::make_shared<const obs::ExplainReport>(recorder->Finish());
   }
   response.outcome = response.result.quality == topk::AnswerQuality::kExact
                          ? ServedOutcome::kExact
@@ -1197,12 +1199,11 @@ void QueryService::FinishResponse(Pending& pending, QueryResponse response) {
                  response.latency_seconds * 1000.0 >=
                      static_cast<double>(request_log_->slow_ms());
     request_log_->Record(event);
-    if (event.slow && response.result.explain != nullptr) {
+    if (event.slow && response.explain != nullptr) {
       // Stamp the query's measured resources onto a copy of the report:
       // the shared report must stay byte-stable for anyone else holding
       // it.
-      auto annotated =
-          std::make_shared<obs::ExplainReport>(*response.result.explain);
+      auto annotated = std::make_shared<obs::ExplainReport>(*response.explain);
       annotated->epoch = response.epoch;
       annotated->has_resources = true;
       annotated->resources.cpu_ms = event.cpu_ms;
@@ -1283,7 +1284,7 @@ void QueryService::Calibrate(DatasetState& ds) {
   StatusOr<QueryResponse> response = Status::Internal("calibration not run");
   {
     resource::ScopedMeterAttach meter_attach(&meter);
-    response = RunOnce(ds, request, deadline, /*query_id=*/0);
+    response = RunOnce(ds, request, {.deadline = &deadline});
   }
   if (response.ok()) {
     const double wall = SecondsSince(start);

@@ -17,9 +17,11 @@
 
 #include "common/deadline.h"
 #include "common/metrics.h"
+#include "common/query_context.h"
 #include "common/resource_meter.h"
 #include "common/status.h"
 #include "dedup/pruned_dedup.h"
+#include "obs/explain.h"
 #include "predicates/corpus.h"
 #include "predicates/pair_predicate.h"
 #include "record/record.h"
@@ -56,7 +58,11 @@ struct QueryRequest {
   /// When nonzero, each execution attempt runs under this deterministic
   /// work-unit budget instead of a wall-clock slice (tests and
   /// reproducible benches; the wall budget still governs queueing and
-  /// retries).
+  /// retries). A unit is what the stages charge: pair evaluations in
+  /// collapse and prune, CPN edges examined plus 1 per probe in the lower
+  /// bound, enumerated pairs in pair scoring, cells filled in the segment
+  /// scorer, and min(band, i) per segment-DP row i. These are not the
+  /// request-log `work` counters (DESIGN.md §6e).
   uint64_t work_budget = 0;
   /// Optional cooperative cancellation (not owned; must outlive the
   /// response future).
@@ -93,6 +99,11 @@ struct QueryResponse {
   topk::TopKCountResult result;
   /// Rank-query answer (kind == kTopKRank and status.ok()).
   std::optional<topk::TopKRankResult> rank;
+  /// Explain report of the execution attempt that produced `result`,
+  /// recorded while slow-query capture is on (RequestLogOptions::slow_ms);
+  /// its query_id is this response's. Null otherwise, and always null for
+  /// cache hits and breaker answers, which execute nothing.
+  std::shared_ptr<const obs::ExplainReport> explain;
   ServedOutcome outcome = ServedOutcome::kError;
   /// Service-assigned id, unique per Submit for the process lifetime. The
   /// same id is stamped on the query's trace spans, request-log line, and
@@ -378,13 +389,13 @@ class QueryService {
   void RunAttempts(DatasetState& ds, Pending& pending,
                    CircuitBreaker::Decision decision,
                    QueryResponse* response);
-  /// One execution attempt under a fresh deadline slice. `query_id` is
-  /// stamped on the attempt's spans and (for armed count queries) its
-  /// explain report; 0 for calibration runs.
+  /// One execution attempt under `ctx`: a fresh deadline slice and the
+  /// query id stamped on the attempt's spans (0 for calibration runs).
+  /// Count queries arm their own explain recorder while slow capture is on
+  /// and return its report on the response.
   StatusOr<QueryResponse> RunOnce(DatasetState& ds,
                                   const QueryRequest& request,
-                                  const Deadline& deadline,
-                                  uint64_t query_id);
+                                  QueryContext ctx);
   /// Bounds-only answer from the dataset's cache (breaker open).
   QueryResponse DegradedFromCache(DatasetState& ds,
                                   const QueryRequest& request);

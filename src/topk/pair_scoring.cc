@@ -4,6 +4,7 @@
 #include <tuple>
 
 #include "common/check.h"
+#include "common/deadline.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/trace.h"
@@ -15,8 +16,9 @@ namespace topkdup::topk {
 cluster::PairScores BuildGroupPairScores(
     const std::vector<dedup::Group>& groups,
     const predicates::PairPredicate& necessary, const PairScoreFn& scorer,
-    const PairScoringOptions& options) {
+    const PairScoringOptions& options, const QueryContext& ctx) {
   TOPKDUP_CHECK(options.default_score <= 0.0);
+  const Deadline* deadline = ctx.deadline;
   const size_t n = groups.size();
   trace::Span span("topk.pair_scores");
   span.AddArg("groups", static_cast<int64_t>(n));
@@ -42,10 +44,7 @@ cluster::PairScores BuildGroupPairScores(
   const std::vector<Scored> triples = ParallelReduce<std::vector<Scored>>(
       0, n, DefaultGrain(n),
       [&](size_t b, size_t e, std::vector<Scored>* out) {
-        if (options.deadline != nullptr &&
-            options.deadline->ExpiredUrgent()) {
-          return;
-        }
+        if (deadline != nullptr && deadline->ExpiredUrgent()) return;
         predicates::BlockedIndex::QueryScratch scratch;
         size_t enumerated = 0;
         size_t scored = 0;
@@ -61,9 +60,7 @@ cluster::PairScores BuildGroupPairScores(
         pairs_enumerated->Add(enumerated);
         pair_evals->Add(enumerated);  // Every enumerated pair runs N_L.
         pairs_scored->Add(scored);
-        if (options.deadline != nullptr) {
-          options.deadline->ChargeWork(enumerated);
-        }
+        if (deadline != nullptr) deadline->ChargeWork(enumerated);
       },
       [](std::vector<Scored>* total, std::vector<Scored>&& shard) {
         total->insert(total->end(), shard.begin(), shard.end());

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "cluster/pair_scores.h"
-#include "common/deadline.h"
+#include "common/query_context.h"
 #include "dedup/group.h"
 #include "predicates/pair_predicate.h"
 
@@ -28,11 +28,6 @@ struct PairScoringOptions {
   /// keeping them in separate groups and stops the segmentation DP from
   /// absorbing unrelated neighbors into answer segments for free.
   double default_score = -0.25;
-  /// Query budget (not owned; null = unlimited). Polled urgently (wall
-  /// clock / cancel only) at shard boundaries; skipped shards leave their
-  /// pairs on the default score — a consistent, merely less informed,
-  /// score matrix. Enumerated pairs are charged as work.
-  const Deadline* deadline = nullptr;
   /// When non-null, shares the blocking index over the group
   /// representatives across calls (resident serving); null builds a
   /// call-local index.
@@ -46,10 +41,15 @@ struct PairScoringOptions {
 /// true" (Algorithm 2, step 9). Stored and unstored pairs stay on one
 /// scale; group weights enter the TopK computation only through segment
 /// weights.
+///
+/// `ctx.deadline` (null = unlimited) is polled urgently (wall clock /
+/// cancel only) at shard boundaries; skipped shards leave their pairs on
+/// the default score, a consistent, merely less informed, score matrix.
+/// Enumerated pairs are charged as work.
 cluster::PairScores BuildGroupPairScores(
     const std::vector<dedup::Group>& groups,
     const predicates::PairPredicate& necessary, const PairScoreFn& scorer,
-    const PairScoringOptions& options = {});
+    const PairScoringOptions& options = {}, const QueryContext& ctx = {});
 
 }  // namespace topkdup::topk
 

@@ -39,11 +39,12 @@ std::vector<std::vector<uint32_t>> NeighborLists(
 StatusOr<TopKRankResult> TopKRankQuery(
     const record::Dataset& data,
     const std::vector<dedup::PredicateLevel>& levels,
-    const TopKRankOptions& options) {
+    const TopKRankOptions& options, const QueryContext& ctx) {
   if (levels.empty() || levels.back().necessary == nullptr) {
     return Status::InvalidArgument(
         "TopKRankQuery: the last level must carry a necessary predicate");
   }
+  const Deadline* deadline = ctx.deadline;
   // Receives faults reported from parallel regions run under this query
   // (PrunedDedup registers its own inner handler; this one backstops any
   // region launched after it returns).
@@ -51,13 +52,11 @@ StatusOr<TopKRankResult> TopKRankQuery(
   dedup::PrunedDedupOptions prune_options;
   prune_options.k = options.k;
   prune_options.prune_passes = options.prune_passes;
-  prune_options.query_id = options.query_id;
   prune_options.exact_bounds = true;  // Bounds are compared across groups.
-  prune_options.deadline = options.deadline;
   prune_options.index_cache = options.index_cache;
   TOPKDUP_ASSIGN_OR_RETURN(
       dedup::PrunedDedupResult pruning,
-      dedup::PrunedDedup(data, levels, prune_options));
+      dedup::PrunedDedup(data, levels, prune_options, ctx));
 
   TopKRankResult result;
   const std::vector<dedup::Group>& groups = pruning.groups;
@@ -74,18 +73,18 @@ StatusOr<TopKRankResult> TopKRankQuery(
   // recomputed unconditional §4.3 bound so the (c_i, u_i) pairs still cap
   // the true counts (DegradedUpperBounds: +inf after cancel or wall-clock
   // expiry, recomputed unmetered after a work-budget one).
-  if (options.deadline != nullptr &&
-      (pruning.degradation.degraded || options.deadline->Expired())) {
+  if (deadline != nullptr &&
+      (pruning.degradation.degraded || deadline->Expired())) {
     const std::vector<double> bounds = dedup::DegradedUpperBounds(
         groups, n, pruning.upper_bounds, pruning.upper_bounds_unconditional,
-        necessary, options.deadline, options.index_cache);
+        necessary, options.index_cache, ctx);
     result.ranked.reserve(n);
     for (size_t i = 0; i < n; ++i) {
       result.ranked.push_back(RankedGroup{groups[i], bounds[i]});
     }
     result.degradation = pruning.degradation;
     // Expiry right after a complete dedup still skips the resolution.
-    MarkDegraded(*options.deadline, "rank_resolution", /*level=*/0,
+    MarkDegraded(*deadline, "rank_resolution", /*level=*/0,
                  /*partial_stage=*/false, &result.degradation);
     result.pruning = std::move(pruning);
     if (soft_fail.triggered()) return soft_fail.status();
@@ -105,7 +104,7 @@ StatusOr<TopKRankResult> TopKRankQuery(
   std::vector<bool> resolved(n, false);
   bool resolution_complete = true;
   for (size_t j = 0; j < n; ++j) {
-    if (options.deadline != nullptr && options.deadline->ExpiredUrgent()) {
+    if (deadline != nullptr && deadline->ExpiredUrgent()) {
       resolution_complete = false;
       break;
     }
@@ -155,7 +154,7 @@ StatusOr<TopKRankResult> TopKRankQuery(
   }
   result.degradation = pruning.degradation;
   if (!resolution_complete) {
-    MarkDegraded(*options.deadline, "rank_resolution", /*level=*/0,
+    MarkDegraded(*deadline, "rank_resolution", /*level=*/0,
                  /*partial_stage=*/true, &result.degradation);
   }
   result.pruning = std::move(pruning);

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "common/query_context.h"
 #include "common/status.h"
 #include "dedup/pruned_dedup.h"
 #include "record/record.h"
@@ -36,13 +37,6 @@ struct TopKRankResult {
 struct TopKRankOptions {
   int k = 10;
   int prune_passes = 2;
-  /// Owning service query id; see TopKCountOptions::query_id.
-  uint64_t query_id = 0;
-  /// Query budget (not owned; null = unlimited). On expiry the query
-  /// returns OK with its best partial ranking: surviving groups with
-  /// sound unconditional upper bounds and `degradation` filled. See
-  /// common/deadline.h.
-  const Deadline* deadline = nullptr;
   /// When non-null, every stage's blocking index resolves through this
   /// cache (predicates/index_cache.h); the serve path sets one per
   /// dataset.
@@ -54,10 +48,14 @@ struct TopKRankOptions {
 /// rank is resolved enable extra pruning of their neighbors. Returns the
 /// surviving groups with their upper bounds; the first K are the answer
 /// candidates.
+///
+/// `ctx.deadline` (null = unlimited): on expiry the query returns OK with
+/// its best partial ranking: surviving groups with sound unconditional
+/// upper bounds and `degradation` filled. See common/deadline.h.
 StatusOr<TopKRankResult> TopKRankQuery(
     const record::Dataset& data,
     const std::vector<dedup::PredicateLevel>& levels,
-    const TopKRankOptions& options);
+    const TopKRankOptions& options, const QueryContext& ctx = {});
 
 struct ThresholdedRankResult {
   /// All surviving groups by decreasing weight, with exact upper bounds.

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -12,6 +11,7 @@
 #include "common/strings.h"
 #include "common/trace.h"
 #include "embed/linear_embedding.h"
+#include "obs/explain.h"
 #include "segment/posterior.h"
 #include "segment/segment_scorer.h"
 #include "segment/topk_dp.h"
@@ -44,9 +44,9 @@ AnswerGroup MergeSpan(const segment::Span& span,
 /// is [observed weight, §4.3 upper bound] (dedup::DegradedUpperBounds).
 TopKAnswerSet GroupAnswer(const dedup::PrunedDedupResult& pruning,
                           const predicates::PairPredicate& necessary, int k,
-                          const Deadline* deadline,
-                          obs::ExplainRecorder* recorder,
-                          predicates::IndexCache* index_cache) {
+                          predicates::IndexCache* index_cache,
+                          const QueryContext& ctx) {
+  obs::ExplainRecorder* recorder = ctx.explain;
   const std::vector<dedup::Group>& groups = pruning.groups;
   const size_t count =
       std::min(groups.size(), static_cast<size_t>(std::max(k, 0)));
@@ -54,7 +54,7 @@ TopKAnswerSet GroupAnswer(const dedup::PrunedDedupResult& pruning,
   if (!pruning.exact) {
     upper = dedup::DegradedUpperBounds(
         groups, count, pruning.upper_bounds,
-        pruning.upper_bounds_unconditional, necessary, deadline, index_cache);
+        pruning.upper_bounds_unconditional, necessary, index_cache, ctx);
   }
 
   TopKAnswerSet answer;
@@ -98,7 +98,8 @@ const char* AnswerQualityName(AnswerQuality quality) {
 StatusOr<TopKCountResult> TopKCountQuery(
     const record::Dataset& data,
     const std::vector<dedup::PredicateLevel>& levels,
-    const PairScoreFn& scorer, const TopKCountOptions& options) {
+    const PairScoreFn& scorer, const TopKCountOptions& options,
+    const QueryContext& ctx) {
   if (levels.empty() || levels.back().necessary == nullptr) {
     return Status::InvalidArgument(
         "TopKCountQuery: the last level must carry a necessary predicate");
@@ -141,35 +142,24 @@ StatusOr<TopKCountResult> TopKCountQuery(
     }
   }
   ScopedParallelism parallelism(options.threads);
-  const Deadline* deadline = options.deadline;
+  const Deadline* deadline = ctx.deadline;
+  obs::ExplainRecorder* recorder = ctx.explain;
   // Receives faults reported from inside parallel regions (no Status
   // channel there); checked after each stage above the dedup pipeline.
   ScopedSoftFailHandler soft_fail;
   trace::Span query_span("topk.query");
   query_span.AddArg("k", options.k);
   query_span.AddArg("r", options.r);
-  if (options.query_id != 0) {
-    query_span.AddArg("query_id", static_cast<int64_t>(options.query_id));
-  }
-  // One recorder spans the whole query: dedup levels feed it through
-  // PrunedDedupOptions::explain_recorder, then embedding/DP/answers append
-  // their sections before Finish().
-  std::unique_ptr<obs::ExplainRecorder> recorder;
-  if (options.explain) {
-    recorder =
-        std::make_unique<obs::ExplainRecorder>(options.explain_sample_rate);
-    if (options.query_id != 0) recorder->set_query_id(options.query_id);
+  if (ctx.query_id != 0) {
+    query_span.AddArg("query_id", static_cast<int64_t>(ctx.query_id));
   }
   dedup::PrunedDedupOptions prune_options;
   prune_options.k = options.k;
   prune_options.prune_passes = options.prune_passes;
-  prune_options.query_id = options.query_id;
-  prune_options.explain_recorder = recorder.get();
-  prune_options.deadline = deadline;
   prune_options.index_cache = options.index_cache;
   TOPKDUP_ASSIGN_OR_RETURN(
       dedup::PrunedDedupResult pruning,
-      dedup::PrunedDedup(data, levels, prune_options));
+      dedup::PrunedDedup(data, levels, prune_options, ctx));
 
   TopKCountResult result;
   const predicates::PairPredicate& necessary = *levels.back().necessary;
@@ -181,18 +171,13 @@ StatusOr<TopKCountResult> TopKCountQuery(
       [&](bool answer_from_groups) -> StatusOr<TopKCountResult> {
     if (answer_from_groups) {
       result.answers.push_back(GroupAnswer(pruning, necessary, options.k,
-                                           deadline, recorder.get(),
-                                           options.index_cache));
+                                           options.index_cache, ctx));
     }
     // A soft failure reported from any parallel region after the last
     // stage checkpoint must still fail the query, not leak an OK result
     // past a fault-injection run.
     if (soft_fail.triggered()) return soft_fail.status();
     result.pruning = std::move(pruning);
-    if (recorder != nullptr) {
-      result.explain =
-          std::make_shared<const obs::ExplainReport>(recorder->Finish());
-    }
     return std::move(result);
   };
   if (pruning.degradation.degraded) {
@@ -223,10 +208,9 @@ StatusOr<TopKCountResult> TopKCountQuery(
   // Step 9 of Algorithm 2: score pairs passing N_L.
   TOPKDUP_FAULT_RETURN_IF("topk.pair_scoring");
   PairScoringOptions scoring_options = options.scoring;
-  scoring_options.deadline = deadline;
   scoring_options.index_cache = options.index_cache;
   cluster::PairScores scores =
-      BuildGroupPairScores(groups, necessary, scorer, scoring_options);
+      BuildGroupPairScores(groups, necessary, scorer, scoring_options, ctx);
   if (soft_fail.triggered()) return soft_fail.status();
   if (deadline != nullptr && deadline->Expired()) {
     MarkDegraded(*deadline, "pair_scoring", /*level=*/0,
@@ -243,16 +227,15 @@ StatusOr<TopKCountResult> TopKCountQuery(
   for (size_t i = 0; i < groups.size(); ++i) weights[i] = groups[i].weight;
   embed::GreedyEmbeddingOptions embed_options;
   embed_options.alpha = options.embedding_alpha;
-  embed_options.recorder = recorder.get();
   const std::vector<size_t> order = [&] {
     TOPKDUP_TRACE_SPAN("embed.greedy");
-    return embed::GreedyEmbedding(scores, weights, embed_options);
+    return embed::GreedyEmbedding(scores, weights, embed_options, ctx);
   }();
 
   TOPKDUP_FAULT_RETURN_IF("topk.segment_dp");
   segment::SegmentScorer seg_scorer(
       scores, order, options.band,
-      segment::SegmentScorer::Objective::kSumPositive, deadline);
+      segment::SegmentScorer::Objective::kSumPositive, ctx);
   if (soft_fail.triggered()) return soft_fail.status();
   trace::Span dp_span("segment.topk_dp");
   segment::TopKDpOptions dp_options;
@@ -262,10 +245,9 @@ StatusOr<TopKCountResult> TopKCountQuery(
   dp_options.r = options.r * 3;
   dp_options.band = options.band;
   dp_options.max_thresholds = options.max_thresholds;
-  dp_options.deadline = deadline;
   TOPKDUP_ASSIGN_OR_RETURN(
       std::vector<segment::TopKAnswer> dp_answers,
-      segment::TopKSegmentation(seg_scorer, order, weights, dp_options));
+      segment::TopKSegmentation(seg_scorer, order, weights, dp_options, ctx));
   dp_span.AddArg("answers", static_cast<int64_t>(dp_answers.size()));
   if (deadline != nullptr && (deadline->expired() || seg_scorer.degraded())) {
     MarkDegraded(*deadline, "segment_dp", /*level=*/0,

@@ -1,12 +1,11 @@
 #ifndef TOPKDUP_TOPK_TOPK_QUERY_H_
 #define TOPKDUP_TOPK_TOPK_QUERY_H_
 
-#include <memory>
 #include <vector>
 
+#include "common/query_context.h"
 #include "common/status.h"
 #include "dedup/pruned_dedup.h"
-#include "obs/explain.h"
 #include "record/record.h"
 #include "topk/pair_scoring.h"
 
@@ -63,11 +62,6 @@ struct TopKCountResult {
   /// True when pruning alone reduced the data to exactly K groups, making
   /// the single returned answer exact without any clustering.
   bool exact_from_pruning = false;
-  /// Whole-query explain report spanning dedup levels, embedding,
-  /// segmentation DP, and answer decomposition (TopKCountOptions::explain).
-  /// Null when explain was off. `pruning.explain` stays null here — the
-  /// dedup events land in this report instead.
-  std::shared_ptr<const obs::ExplainReport> explain;
   /// Degradation verdict for the whole query. kExact unless the deadline
   /// expired somewhere; then `degradation` names the stage that stopped
   /// first and every answer group carries a sound count interval.
@@ -79,11 +73,6 @@ struct TopKCountOptions {
   int k = 10;
   /// Number of plausible answers to return (the paper's R).
   int r = 1;
-  /// Owning service query id (serve::QueryResponse::query_id), stamped on
-  /// the query's trace spans and explain report so live introspection
-  /// joins them to the request-log line. 0 (the non-serve paths) adds
-  /// nothing anywhere.
-  uint64_t query_id = 0;
   int prune_passes = 2;
   /// Linear-embedding aging factor (Eq. 3).
   double embedding_alpha = 0.5;
@@ -101,15 +90,6 @@ struct TopKCountOptions {
   bool compute_posteriors = false;
   /// Gibbs temperature for the posteriors; must be > 0.
   double posterior_temperature = 1.0;
-  /// Build a whole-query explain report (src/obs/explain.h) on the result.
-  bool explain = false;
-  /// Fraction of detail events kept in the report; summaries stay exact.
-  double explain_sample_rate = 1.0;
-  /// Query budget (not owned; null = unlimited). On expiry the query
-  /// returns OK with its best partial answer — count intervals per group,
-  /// `quality != kExact`, and `degradation` naming the stopped stage.
-  /// Never an error, never an abort. See common/deadline.h.
-  const Deadline* deadline = nullptr;
   /// When non-null, every stage's blocking index (dedup levels, pair
   /// scoring, bound recomputation) resolves through this cache; see
   /// predicates/index_cache.h. The serve path sets one per dataset.
@@ -120,10 +100,19 @@ struct TopKCountOptions {
 /// collapse with the predicate levels, score surviving group pairs with
 /// `scorer` on pairs passing the last necessary predicate, embed, and run
 /// the segmentation DP for the R highest-scoring TopK answers.
+///
+/// `ctx.deadline` (null = unlimited): on expiry the query returns OK with
+/// its best partial answer: count intervals per group, `quality !=
+/// kExact`, and `degradation` naming the stopped stage. Never an error,
+/// never an abort. See common/deadline.h.
+/// `ctx.explain` (null = off) receives one whole-query report: the dedup
+/// levels, embedding, segmentation DP, and answer decomposition. The
+/// caller owns the recorder and calls Finish() after the query returns.
 StatusOr<TopKCountResult> TopKCountQuery(
     const record::Dataset& data,
     const std::vector<dedup::PredicateLevel>& levels,
-    const PairScoreFn& scorer, const TopKCountOptions& options);
+    const PairScoreFn& scorer, const TopKCountOptions& options,
+    const QueryContext& ctx = {});
 
 }  // namespace topkdup::topk
 

@@ -15,6 +15,7 @@
 #include "common/timer.h"
 #include "datagen/citation_gen.h"
 #include "dedup/pruned_dedup.h"
+#include "obs/explain.h"
 #include "predicates/citation.h"
 #include "predicates/corpus.h"
 #include "predicates/generic.h"
@@ -205,8 +206,8 @@ class DeadlinePipelineTest : public ::testing::Test {
         std::numeric_limits<uint64_t>::max());
     dedup::PrunedDedupOptions options;
     options.k = 10;
-    options.deadline = &probe;
-    auto result_or = dedup::PrunedDedup(data_, Levels(), options);
+    auto result_or =
+        dedup::PrunedDedup(data_, Levels(), options, {.deadline = &probe});
     EXPECT_TRUE(result_or.ok());
     EXPECT_FALSE(result_or.value().degradation.degraded);
     return probe.work_charged();
@@ -227,8 +228,8 @@ TEST_F(DeadlinePipelineTest, WorkBudgetDegradesButReturnsConsistentState) {
   Deadline deadline = Deadline::WithWorkBudget(full_work / 2);
   dedup::PrunedDedupOptions options;
   options.k = 10;
-  options.deadline = &deadline;
-  auto result_or = dedup::PrunedDedup(data_, Levels(), options);
+  auto result_or =
+      dedup::PrunedDedup(data_, Levels(), options, {.deadline = &deadline});
   ASSERT_TRUE(result_or.ok());
   const dedup::PrunedDedupResult& result = result_or.value();
   EXPECT_TRUE(result.degradation.degraded);
@@ -255,11 +256,12 @@ TEST_F(DeadlinePipelineTest, WorkBudgetStopIsIdenticalAcrossThreadCounts) {
     dedup::PrunedDedupOptions options;
     options.k = 10;
     options.threads = threads;
-    options.explain = true;
-    options.deadline = &deadline;
-    auto result_or = dedup::PrunedDedup(data_, Levels(), options);
+    obs::ExplainRecorder recorder;
+    auto result_or = dedup::PrunedDedup(
+        data_, Levels(), options,
+        {.deadline = &deadline, .explain = &recorder});
     ASSERT_TRUE(result_or.ok()) << "threads=" << threads;
-    explain_json.push_back(result_or.value().explain->ToJson());
+    explain_json.push_back(recorder.Finish().ToJson());
     results.push_back(std::move(result_or).value());
   }
 
@@ -302,8 +304,8 @@ TEST_F(DeadlinePipelineTest, PruneStageStopIsCleanAndBoundsStayConditional) {
     Deadline deadline = Deadline::WithWorkBudget(budget);
     dedup::PrunedDedupOptions options;
     options.k = 10;
-    options.deadline = &deadline;
-    auto result_or = dedup::PrunedDedup(data_, Levels(), options);
+    auto result_or =
+        dedup::PrunedDedup(data_, Levels(), options, {.deadline = &deadline});
     ASSERT_TRUE(result_or.ok());
     const dedup::PrunedDedupResult& result = result_or.value();
     if (!result.degradation.degraded) continue;
@@ -335,18 +337,20 @@ TEST_F(DeadlinePipelineTest, QueryIntervalsContainGroundTruthCounts) {
   // Squeeze the budget until the query degrades; start where collapse has
   // run but the lower-bound search cannot finish.
   topk::TopKCountResult result;
+  std::optional<obs::ExplainReport> report;
   bool degraded = false;
   for (uint64_t budget = full_work / 2; budget > 0; budget /= 2) {
     Deadline deadline = Deadline::WithWorkBudget(budget);
+    obs::ExplainRecorder recorder;
     topk::TopKCountOptions options;
     options.k = 10;
-    options.explain = true;
-    options.deadline = &deadline;
     auto result_or =
-        topk::TopKCountQuery(data_, Levels(), Scorer(), options);
+        topk::TopKCountQuery(data_, Levels(), Scorer(), options,
+                             {.deadline = &deadline, .explain = &recorder});
     ASSERT_TRUE(result_or.ok());
     if (result_or.value().quality != topk::AnswerQuality::kExact) {
       result = std::move(result_or).value();
+      report = recorder.Finish();
       degraded = true;
       break;
     }
@@ -377,26 +381,25 @@ TEST_F(DeadlinePipelineTest, QueryIntervalsContainGroundTruthCounts) {
   }
 
   // The explain report names the degraded stage.
-  ASSERT_NE(result.explain, nullptr);
-  EXPECT_TRUE(result.explain->has_degradation);
-  EXPECT_EQ(result.explain->degradation.stage, result.degradation.stage);
-  EXPECT_NE(result.explain->ToJson().find("\"degradation\""),
-            std::string::npos);
+  ASSERT_TRUE(report.has_value());
+  EXPECT_TRUE(report->has_degradation);
+  EXPECT_EQ(report->degradation.stage, result.degradation.stage);
+  EXPECT_NE(report->ToJson().find("\"degradation\""), std::string::npos);
 }
 
 TEST_F(DeadlinePipelineTest, NoDeadlineExplainHasNoDegradationSection) {
   topk::TopKCountOptions options;
   options.k = 10;
-  options.explain = true;
-  auto result_or = topk::TopKCountQuery(data_, Levels(), Scorer(), options);
+  obs::ExplainRecorder recorder;
+  auto result_or = topk::TopKCountQuery(data_, Levels(), Scorer(), options,
+                                        {.explain = &recorder});
   ASSERT_TRUE(result_or.ok());
   const topk::TopKCountResult& result = result_or.value();
   EXPECT_EQ(result.quality, topk::AnswerQuality::kExact);
   EXPECT_FALSE(result.degradation.degraded);
-  ASSERT_NE(result.explain, nullptr);
-  EXPECT_FALSE(result.explain->has_degradation);
-  EXPECT_EQ(result.explain->ToJson().find("\"degradation\""),
-            std::string::npos);
+  const obs::ExplainReport report = recorder.Finish();
+  EXPECT_FALSE(report.has_degradation);
+  EXPECT_EQ(report.ToJson().find("\"degradation\""), std::string::npos);
   for (const topk::TopKAnswerSet& answer : result.answers) {
     for (const topk::AnswerGroup& g : answer.groups) {
       EXPECT_EQ(g.count_lower, g.weight);
@@ -412,8 +415,8 @@ TEST_F(DeadlinePipelineTest, CancelledQueryReturnsPartialAnswer) {
   deadline.set_cancel_token(&token);
   topk::TopKCountOptions options;
   options.k = 10;
-  options.deadline = &deadline;
-  auto result_or = topk::TopKCountQuery(data_, Levels(), Scorer(), options);
+  auto result_or = topk::TopKCountQuery(data_, Levels(), Scorer(), options,
+                                        {.deadline = &deadline});
   ASSERT_TRUE(result_or.ok());
   const topk::TopKCountResult& result = result_or.value();
   EXPECT_NE(result.quality, topk::AnswerQuality::kExact);
@@ -426,9 +429,9 @@ TEST_F(DeadlinePipelineTest, WallClockDeadlineReturnsPromptly) {
   Deadline deadline = Deadline::AfterMillis(kDeadlineMillis);
   topk::TopKCountOptions options;
   options.k = 10;
-  options.deadline = &deadline;
   Timer timer;
-  auto result_or = topk::TopKCountQuery(data_, Levels(), Scorer(), options);
+  auto result_or = topk::TopKCountQuery(data_, Levels(), Scorer(), options,
+                                        {.deadline = &deadline});
   const double elapsed = timer.ElapsedSeconds();
   ASSERT_TRUE(result_or.ok());
   // Generous CI margin; the cooperative checks land far more often than
@@ -461,8 +464,8 @@ TEST_F(DeadlinePipelineTest, RankQueryDegradesSoundlyUnderWorkBudget) {
     Deadline deadline = Deadline::WithWorkBudget(budget);
     topk::TopKRankOptions options;
     options.k = 10;
-    options.deadline = &deadline;
-    auto result_or = topk::TopKRankQuery(data_, Levels(), options);
+    auto result_or = topk::TopKRankQuery(data_, Levels(), options,
+                                         {.deadline = &deadline});
     ASSERT_TRUE(result_or.ok()) << "budget " << budget;
     const topk::TopKRankResult& result = result_or.value();
     if (!result.degradation.degraded) continue;
@@ -505,9 +508,8 @@ TEST_F(DeadlinePipelineTest, RankResolutionExpiryCountsAsDegradedQuery) {
   prune_options.k = 10;
   prune_options.prune_passes = topk::TopKRankOptions{}.prune_passes;
   prune_options.exact_bounds = true;
-  prune_options.deadline = &probe_deadline;
   ASSERT_TRUE(dedup::PrunedDedup(data_, {{&*s1_, &*n1_}, {&*s2_, &probe}},
-                                 prune_options)
+                                 prune_options, {.deadline = &probe_deadline})
                   .ok());
 
   CancelToken token;
@@ -524,9 +526,8 @@ TEST_F(DeadlinePipelineTest, RankResolutionExpiryCountsAsDegradedQuery) {
 
   topk::TopKRankOptions options;
   options.k = 10;
-  options.deadline = &deadline;
-  auto result_or =
-      topk::TopKRankQuery(data_, {{&*s1_, &*n1_}, {&*s2_, &n2}}, options);
+  auto result_or = topk::TopKRankQuery(
+      data_, {{&*s1_, &*n1_}, {&*s2_, &n2}}, options, {.deadline = &deadline});
   ASSERT_TRUE(result_or.ok());
   const topk::TopKRankResult& result = result_or.value();
   EXPECT_FALSE(result.pruning.degradation.degraded);
@@ -578,8 +579,7 @@ TEST_F(DeadlinePipelineTest, OnlineQueryDegradesSoundlyUnderWorkBudget) {
     topk::TopKCountOptions options;
     options.k = 5;
     options.r = 1;
-    options.deadline = &deadline;
-    auto result_or = stream.Query(options);
+    auto result_or = stream.Query(options, {.deadline = &deadline});
     ASSERT_TRUE(result_or.ok()) << "budget " << budget;
     const topk::TopKCountResult& result = result_or.value();
     if (budget == std::numeric_limits<uint64_t>::max()) {

@@ -894,6 +894,61 @@ double JsonNumber(const std::string& line, const std::string& key) {
   return std::atof(line.c_str() + at + key.size() + 3);
 }
 
+// A cached answer carries no explain report of its own to leak into a
+// later query's slow capture.
+template <typename T>
+concept CarriesExplain = requires(const T& t) { t.explain; };
+static_assert(!CarriesExplain<AnswerCache::Entry>);
+static_assert(!CarriesExplain<decltype(AnswerCache::Entry::result)>);
+
+/// Slow capture reads the attempt's own report: the miss that executes
+/// records one stamped with its own id, hits of the same shape execute
+/// nothing and carry none, and every report in /debug/queries names the
+/// query of the request-log event it is paired with.
+TEST_F(ServeTest, CapturedExplainsBelongToTheirOwnQuery) {
+  Watchdog watchdog(120);
+  ServiceOptions options = QuietOptions();
+  options.cache.enabled = true;
+  options.request_log.ok_sample_every = 1;
+  options.request_log.slow_ms = 1;  // Every executed query counts as slow.
+  options.request_log.slow_explain_sample_rate = 1.0;
+  QueryService service(options);
+  ASSERT_TRUE(
+      service.RegisterDataset("cites", MakeCitationBundle(data_)).ok());
+
+  // k=3: registration's calibration query already cached the k=5 shape.
+  QueryResponse miss = service.Execute(CountRequest("cites", 3));
+  ASSERT_TRUE(miss.status.ok()) << miss.status.ToString();
+  EXPECT_EQ(miss.cache, "miss");
+  ASSERT_NE(miss.explain, nullptr);
+  EXPECT_EQ(miss.explain->query_id, miss.query_id);
+  for (int i = 0; i < 8; ++i) {
+    QueryResponse hit = service.Execute(CountRequest("cites", 3));
+    ASSERT_TRUE(hit.status.ok()) << hit.status.ToString();
+    EXPECT_EQ(hit.cache, "hit");
+    EXPECT_NE(hit.query_id, miss.query_id);
+    EXPECT_EQ(hit.explain, nullptr);
+  }
+
+  // Each slow capture is {"query":<event>,"explain":<report or null>}.
+  const std::string debug = service.request_log().DebugQueriesJson();
+  const std::string capture_key = "{\"query\":";
+  size_t reports = 0;
+  for (size_t at = debug.find(capture_key); at != std::string::npos;
+       at = debug.find(capture_key, at + 1)) {
+    const size_t explain_at = debug.find("\"explain\":", at);
+    ASSERT_NE(explain_at, std::string::npos);
+    const std::string report = debug.substr(explain_at + 10);
+    if (report.rfind("null", 0) == 0) continue;
+    const double event_id =
+        JsonNumber(debug.substr(at, explain_at - at), "query_id");
+    EXPECT_GT(event_id, 0.0);
+    EXPECT_EQ(JsonNumber(report, "query_id"), event_id);
+    ++reports;
+  }
+  EXPECT_GE(reports, 1u);
+}
+
 TEST_F(ServeTest, CpuAttributionFlowsToResponseAndRequestLog) {
   Watchdog watchdog(120);
   ServiceOptions options = QuietOptions();

@@ -179,12 +179,12 @@ TEST_F(TopKQueryTest, CancelledRankQueryBoundsHonorTheCancel) {
   deadline.set_cancel_token(&cancel);
   TopKRankOptions options;
   options.k = 2;
-  options.deadline = &deadline;
   const metrics::Counter* probes =
       metrics::Registry::Global().GetCounter(
           "predicates.blocked_index.candidates");
   const uint64_t probes_before = probes->Value();
-  auto result_or = TopKRankQuery(data_, Levels(), options);
+  auto result_or =
+      TopKRankQuery(data_, Levels(), options, {.deadline = &deadline});
   ASSERT_TRUE(result_or.ok());
   const TopKRankResult& result = result_or.value();
   EXPECT_TRUE(result.degradation.degraded);
