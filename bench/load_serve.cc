@@ -19,8 +19,8 @@
 // else exits nonzero, so a CI smoke run with TOPKDUP_FAULTS armed proves
 // the service degrades instead of crashing.
 //
-//   load_serve --records=600 --requests=100 --rates=50,400 \
-//       --fault-prob=0.25 --json=BENCH_serve.json
+//   load_serve --records=600 --requests=100 --rates=50,400
+//       --fault-prob=0.25 --json=BENCH_serve.json   (one command line)
 
 #include <algorithm>
 #include <atomic>

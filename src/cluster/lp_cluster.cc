@@ -17,6 +17,13 @@ size_t PairIndex(size_t i, size_t j, size_t n) {
   return i * n - i * (i + 1) / 2 + (j - i - 1);
 }
 
+/// Refuse inputs with more items (the LP has O(n^2) variables).
+constexpr size_t kMaxItems = 48;
+/// Violated triangle inequalities added per round (most violated first).
+constexpr size_t kConstraintsPerRound = 512;
+constexpr int kMaxRounds = 64;
+constexpr double kIntegralityEpsilon = 1e-6;
+
 struct Violation {
   lp::Constraint constraint;
   double amount;
@@ -24,13 +31,11 @@ struct Violation {
 
 }  // namespace
 
-StatusOr<LpClusterResult> LpCluster(const PairScores& scores,
-                                    const LpClusterOptions& options) {
+StatusOr<LpClusterResult> LpCluster(const PairScores& scores) {
   const size_t n = scores.item_count();
-  if (n > options.max_items) {
-    return Status::ResourceExhausted(
-        StrFormat("LpCluster: %zu items exceeds max_items=%zu", n,
-                  options.max_items));
+  if (n > kMaxItems) {
+    return Status::ResourceExhausted(StrFormat(
+        "LpCluster: %zu items exceed the %zu-item limit", n, kMaxItems));
   }
   LpClusterResult result;
   if (n <= 1) {
@@ -63,7 +68,7 @@ StatusOr<LpClusterResult> LpCluster(const PairScores& scores,
   }
 
   std::vector<double> x;
-  for (result.rounds = 1; result.rounds <= options.max_rounds;
+  for (result.rounds = 1; result.rounds <= kMaxRounds;
        ++result.rounds) {
     TOPKDUP_ASSIGN_OR_RETURN(lp::LpResult lp_result,
                              lp::SolveLp(static_cast<int>(num_vars),
@@ -107,7 +112,7 @@ StatusOr<LpClusterResult> LpCluster(const PairScores& scores,
                 return a.amount > b.amount;
               });
     const size_t take =
-        std::min(violations.size(), options.constraints_per_round);
+        std::min(violations.size(), kConstraintsPerRound);
     for (size_t v = 0; v < take; ++v) {
       constraints.push_back(std::move(violations[v].constraint));
       ++result.constraints_added;
@@ -117,8 +122,7 @@ StatusOr<LpClusterResult> LpCluster(const PairScores& scores,
   // Integrality check.
   result.integral = true;
   for (double v : x) {
-    if (v > options.integrality_epsilon &&
-        v < 1.0 - options.integrality_epsilon) {
+    if (v > kIntegralityEpsilon && v < 1.0 - kIntegralityEpsilon) {
       result.integral = false;
       break;
     }

@@ -6,15 +6,6 @@
 
 namespace topkdup::cluster {
 
-struct LpClusterOptions {
-  /// Refuse inputs with more items (the LP has O(n^2) variables).
-  size_t max_items = 48;
-  /// Violated triangle inequalities added per round (most violated first).
-  size_t constraints_per_round = 512;
-  int max_rounds = 64;
-  double integrality_epsilon = 1e-6;
-};
-
 struct LpClusterResult {
   Labels labels;
   /// Optimal value of the relaxation (an upper bound on the best
@@ -31,13 +22,14 @@ struct LpClusterResult {
 /// Solves the correlation-clustering LP relaxation of paper §5.1
 /// (maximize sum P_ij x_ij with triangle consistency x_ij + x_jk - x_ik <= 1
 /// and 0 <= x <= 1) by cutting planes: triangle inequalities are added
-/// lazily, most-violated first, until none are violated.
+/// lazily, up to 512 per round and most-violated first, until none are
+/// violated (at most 64 rounds). Inputs of more than 48 items are refused
+/// with ResourceExhausted: the LP has O(n^2) variables.
 ///
 /// When the final solution is integral, the labels are the exact optimum.
 /// Otherwise labels come from thresholding x >= 0.5 followed by transitive
 /// closure, and `integral` is false.
-StatusOr<LpClusterResult> LpCluster(const PairScores& scores,
-                                    const LpClusterOptions& options = {});
+StatusOr<LpClusterResult> LpCluster(const PairScores& scores);
 
 }  // namespace topkdup::cluster
 

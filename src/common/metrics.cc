@@ -165,19 +165,6 @@ std::string JsonNumber(double v) {
   return StrFormat("%.9g", v);
 }
 
-void AppendEscaped(std::string* out, std::string_view s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      *out += StrFormat("\\u%04x", c);
-    } else {
-      out->push_back(c);
-    }
-  }
-}
-
 }  // namespace
 
 std::string MetricsSnapshot::ToJson() const {
@@ -185,7 +172,7 @@ std::string MetricsSnapshot::ToJson() const {
   for (size_t i = 0; i < counters.size(); ++i) {
     if (i > 0) out += ",";
     out += "\"";
-    AppendEscaped(&out, counters[i].name);
+    AppendJsonEscaped(&out, counters[i].name);
     out += StrFormat("\":%llu",
                      static_cast<unsigned long long>(counters[i].value));
   }
@@ -193,7 +180,7 @@ std::string MetricsSnapshot::ToJson() const {
   for (size_t i = 0; i < gauges.size(); ++i) {
     if (i > 0) out += ",";
     out += "\"";
-    AppendEscaped(&out, gauges[i].name);
+    AppendJsonEscaped(&out, gauges[i].name);
     out += "\":" + JsonNumber(gauges[i].value);
   }
   out += "},\"histograms\":{";
@@ -201,7 +188,7 @@ std::string MetricsSnapshot::ToJson() const {
     const HistogramSample& h = histograms[i];
     if (i > 0) out += ",";
     out += "\"";
-    AppendEscaped(&out, h.name);
+    AppendJsonEscaped(&out, h.name);
     out += "\":{\"bounds\":[";
     for (size_t b = 0; b < h.bounds.size(); ++b) {
       if (b > 0) out += ",";
@@ -359,12 +346,32 @@ std::string PromLabelValue(std::string_view value) {
   return out;
 }
 
+/// A dynamic metric family whose registry names embed an open-ended value
+/// as their trailing segment — "serve.shed.<reason>",
+/// "serve.breaker_state.<dataset>". Flattening such names through the
+/// name sanitizer is lossy: "a-b", "a.b", and "a_b" all sanitize to
+/// "a_b", silently merging distinct datasets into one series. A rule
+/// instead folds every metric under `prefix + "."` into ONE exposition
+/// family named after `prefix`, carrying the remainder verbatim as the
+/// value of a `label`-named label (label values admit any UTF-8, so
+/// distinct raw names can never collide).
+struct PromLabelRule {
+  std::string_view prefix;  // Registry-name prefix, without the trailing dot.
+  std::string_view label;   // Label name carrying the trailing segment.
+};
+
+constexpr PromLabelRule kPromLabelRules[] = {
+    {"serve.breaker_state", "dataset"},
+    {"serve.shed", "reason"},
+    {"serve.latency_seconds", "outcome"},
+    {"obs.admin.endpoint", "endpoint"},
+};
+
 /// The rule folding `name` into a labeled family, or null. A match
 /// requires a strict "<prefix>.<rest>" shape with a non-empty rest; the
 /// exact name `prefix` itself stays an unlabeled series.
-const PromLabelRule* MatchLabelRule(const std::vector<PromLabelRule>& rules,
-                                    std::string_view name) {
-  for (const PromLabelRule& rule : rules) {
+const PromLabelRule* MatchLabelRule(std::string_view name) {
+  for (const PromLabelRule& rule : kPromLabelRules) {
     if (name.size() > rule.prefix.size() + 1 &&
         name.compare(0, rule.prefix.size(), rule.prefix) == 0 &&
         name[rule.prefix.size()] == '.') {
@@ -384,18 +391,17 @@ struct PromSeries {
   std::string labels;
 };
 
-PromSeries ResolveSeries(const std::vector<PromLabelRule>& rules,
-                         std::string_view name) {
+PromSeries ResolveSeries(std::string_view name) {
   PromSeries series;
-  const PromLabelRule* rule = MatchLabelRule(rules, name);
+  const PromLabelRule* rule = MatchLabelRule(name);
   if (rule == nullptr) {
     series.family = PromName(name);
     return series;
   }
   series.family = PromName(rule->prefix);
   const std::string_view rest = name.substr(rule->prefix.size() + 1);
-  series.labels = StrFormat("%s=\"%s\"", rule->label.c_str(),
-                            PromLabelValue(rest).c_str());
+  series.labels =
+      std::string(rule->label) + "=\"" + PromLabelValue(rest) + "\"";
   return series;
 }
 
@@ -408,27 +414,11 @@ void EmitTypeLine(std::string& out, const std::string& family,
 
 }  // namespace
 
-const std::vector<PromLabelRule>& DefaultPromLabelRules() {
-  static const std::vector<PromLabelRule>* rules =
-      new std::vector<PromLabelRule>{
-          {"serve.breaker_state", "dataset"},
-          {"serve.shed", "reason"},
-          {"serve.latency_seconds", "outcome"},
-          {"obs.admin.endpoint", "endpoint"},
-      };
-  return *rules;
-}
-
 std::string PrometheusText(const MetricsSnapshot& snapshot) {
-  return PrometheusText(snapshot, DefaultPromLabelRules());
-}
-
-std::string PrometheusText(const MetricsSnapshot& snapshot,
-                           const std::vector<PromLabelRule>& rules) {
   std::string out;
   std::string last_family;
   for (const CounterSample& c : snapshot.counters) {
-    PromSeries series = ResolveSeries(rules, c.name);
+    PromSeries series = ResolveSeries(c.name);
     series.family += "_total";
     EmitTypeLine(out, series.family, "counter", last_family);
     const std::string braces =
@@ -437,7 +427,7 @@ std::string PrometheusText(const MetricsSnapshot& snapshot,
                      static_cast<unsigned long long>(c.value));
   }
   for (const GaugeSample& g : snapshot.gauges) {
-    const PromSeries series = ResolveSeries(rules, g.name);
+    const PromSeries series = ResolveSeries(g.name);
     EmitTypeLine(out, series.family, "gauge", last_family);
     const std::string braces =
         series.labels.empty() ? "" : "{" + series.labels + "}";
@@ -445,7 +435,7 @@ std::string PrometheusText(const MetricsSnapshot& snapshot,
                      PromNumber(g.value).c_str());
   }
   for (const HistogramSample& h : snapshot.histograms) {
-    const PromSeries series = ResolveSeries(rules, h.name);
+    const PromSeries series = ResolveSeries(h.name);
     EmitTypeLine(out, series.family, "histogram", last_family);
     const std::string name = series.family;
     // The family label (if any) precedes `le` on every bucket line.

@@ -224,25 +224,6 @@ class Registry {
 bool WriteSnapshotJson(const MetricsSnapshot& snapshot,
                        const std::string& path);
 
-/// A dynamic metric family whose registry names embed an open-ended value
-/// as their trailing segment — "serve.shed.<reason>",
-/// "serve.breaker_state.<dataset>". Flattening such names through the
-/// name sanitizer is lossy: "a-b", "a.b", and "a_b" all sanitize to
-/// "a_b", silently merging distinct datasets into one series. A rule
-/// instead folds every metric under `prefix + "."` into ONE exposition
-/// family named after `prefix`, carrying the remainder verbatim as the
-/// value of a `label`-named label (label values admit any UTF-8, so
-/// distinct raw names can never collide).
-struct PromLabelRule {
-  std::string prefix;  // Registry-name prefix, without the trailing dot.
-  std::string label;   // Label name carrying the trailing segment.
-};
-
-/// The rules PrometheusText applies by default: the serve layer's
-/// per-dataset breaker gauges, per-reason shed counters, per-outcome
-/// latency histograms, and the admin server's per-endpoint counters.
-const std::vector<PromLabelRule>& DefaultPromLabelRules();
-
 /// Prometheus text exposition (v0.0.4, scrape-compatible with OpenMetrics
 /// consumers) of a snapshot. Metric names are sanitized (characters
 /// outside [a-zA-Z0-9_:] become '_') and prefixed `topkdup_`; counters get
@@ -250,12 +231,12 @@ const std::vector<PromLabelRule>& DefaultPromLabelRules();
 /// `_bucket{le="..."}` series (the registry's buckets are already
 /// inclusive upper bounds) plus the `le="+Inf"` bucket, `_sum`, and
 /// `_count`. Values print with enough digits to round-trip doubles.
-/// Metrics matching a PromLabelRule render as labeled series of one
-/// family (with label values escaped per the exposition format); the
-/// one-argument overload applies DefaultPromLabelRules().
+/// Dynamic families whose registry names end in an open-ended value (the
+/// serve layer's per-dataset breaker gauges, per-reason shed counters,
+/// per-outcome latency histograms, and the admin server's per-endpoint
+/// counters) render as labeled series of one family, with label values
+/// escaped per the exposition format.
 std::string PrometheusText(const MetricsSnapshot& snapshot);
-std::string PrometheusText(const MetricsSnapshot& snapshot,
-                           const std::vector<PromLabelRule>& rules);
 
 /// Writes `PrometheusText(snapshot)` to `path` (e.g. for a node-exporter
 /// textfile collector); returns false and logs when the write fails.

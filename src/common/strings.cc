@@ -62,6 +62,26 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
+void AppendJsonEscaped(std::string* out, std::string_view s) {
+  for (char c : s) {
+    if (c == '"' || c == '\\') {
+      out->push_back('\\');
+      out->push_back(c);
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      *out += StrFormat("\\u%04x", c);
+    } else {
+      out->push_back(c);
+    }
+  }
+}
+
+std::string JsonString(std::string_view s) {
+  std::string out = "\"";
+  AppendJsonEscaped(&out, s);
+  out += "\"";
+  return out;
+}
+
 std::string StrFormat(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

@@ -25,6 +25,13 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 /// True when `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
 
+/// Appends `s` with JSON string escaping, without quotes: '"' and '\\'
+/// take a backslash, and every other byte below 0x20 becomes \u00XX.
+void AppendJsonEscaped(std::string* out, std::string_view s);
+
+/// `s` as a quoted JSON string literal (AppendJsonEscaped's rule).
+std::string JsonString(std::string_view s);
+
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));

@@ -30,9 +30,8 @@ struct LowerBoundResult {
   /// Necessary-predicate edges enumerated while growing the prefix
   /// (diagnostic).
   size_t edges_examined = 0;
-  /// CPN bound evaluations performed while locating m (growth iterations:
-  /// the galloping probes plus the binary-search refinement, or every
-  /// single-vertex step in the non-galloping scheme).
+  /// CPN bound evaluations performed while locating m (the geometric
+  /// growth probes plus the binary-search refinement).
   size_t cpn_evaluations = 0;
   /// True when the search stopped early on deadline expiry. The returned
   /// (m, M) are still sound: either the best certified prefix found so far
@@ -43,22 +42,6 @@ struct LowerBoundResult {
 
 /// Options for EstimateLowerBound.
 struct LowerBoundOptions {
-  /// When true (default), prefix sizes are grown geometrically and the
-  /// minimal m is then located by binary search, re-running the CPN bound
-  /// on O(log n) prefixes. When false, the CPN is recomputed after every
-  /// single vertex addition (the literal incremental scheme; used by the
-  /// ablation bench).
-  bool galloping = true;
-
-  /// Which CPN lower bound to evaluate on each prefix. Both are valid
-  /// lower bounds, so any choice preserves correctness of M.
-  enum class Bound {
-    kMinFill,   // Algorithm 1: min-fill triangulation + greedy cover.
-    kGreedyIs,  // Direct greedy independent set (cheaper).
-    kAuto,      // Greedy IS first; fall back to min-fill when it fails.
-  };
-  Bound bound = Bound::kAuto;
-
   /// When non-null, the blocking index over the group representatives is
   /// shared through this cache (resident serving: the same weight-sorted
   /// reps are probed on every request); null builds a call-local index.
@@ -69,6 +52,14 @@ struct LowerBoundOptions {
 /// given necessary predicate, per paper §4.2: the CPN lower bound of the
 /// graph induced by N on a prefix certifies that many distinct entities,
 /// and any prefix with CPN >= k yields the bound M = weight(c_m).
+///
+/// The prefix is grown geometrically (k, 2k, 4k, ...) until its bound
+/// reaches k, then the smallest such prefix is located by binary search.
+/// Each prefix's bound is the greedy independent set of its graph; only
+/// when that falls short of k and the prefix has at most 1024 groups is
+/// Algorithm 1's min-fill bound also evaluated and the larger one kept.
+/// Both are valid lower bounds on the clique-partition number, so M is
+/// safe whichever one certifies.
 ///
 /// `ctx.explain`, when non-null, receives every CPN probe (prefix size,
 /// certified bound, which search phase asked) plus the final m/M summary.

@@ -11,6 +11,7 @@
 #include "common/timer.h"
 #include "common/trace.h"
 #include "dedup/collapse.h"
+#include "dedup/lower_bound.h"
 #include "obs/explain.h"
 
 namespace topkdup::dedup {
@@ -127,7 +128,7 @@ StatusOr<PrunedDedupResult> PrunedDedupFromGroups(
     if (!stopped && level.necessary != nullptr) {
       TOPKDUP_FAULT_RETURN_IF("dedup.lower_bound");
       timer.Reset();
-      LowerBoundOptions lb_options = options.lower_bound;
+      LowerBoundOptions lb_options;
       lb_options.index_cache = options.index_cache;
       const LowerBoundResult lb = EstimateLowerBound(
           groups, *level.necessary, options.k, lb_options, ctx);

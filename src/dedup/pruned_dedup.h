@@ -8,7 +8,6 @@
 #include "common/query_context.h"
 #include "common/status.h"
 #include "dedup/group.h"
-#include "dedup/lower_bound.h"
 #include "dedup/prune.h"
 #include "predicates/pair_predicate.h"
 #include "record/record.h"
@@ -94,7 +93,6 @@ struct PrunedDedupOptions {
   /// 1 forces serial execution. Outputs are bit-identical at any value
   /// (common/parallel.h's deterministic sharded reductions).
   int threads = 0;
-  LowerBoundOptions lower_bound;
   /// When non-null, every stage's blocking index resolves through this
   /// cache (resident serving builds each index once per dataset and
   /// reuses it — memoized — across requests and retries); null keeps the

@@ -3,9 +3,16 @@
 #include <cmath>
 #include <numeric>
 
+#include "common/rng.h"
+
 namespace topkdup::learn {
 
 namespace {
+
+constexpr int kEpochs = 200;
+constexpr double kLearningRate = 0.5;
+constexpr double kL2 = 1e-4;
+constexpr uint64_t kShuffleSeed = 17;
 
 double Sigmoid(double z) {
   if (z >= 0) {
@@ -31,7 +38,7 @@ double LogisticModel::Probability(const std::vector<double>& x) const {
 
 StatusOr<LogisticModel> TrainLogistic(
     const std::vector<std::vector<double>>& examples,
-    const std::vector<int>& labels, const LogisticTrainOptions& options) {
+    const std::vector<int>& labels) {
   if (examples.empty()) {
     return Status::InvalidArgument("TrainLogistic: no examples");
   }
@@ -59,21 +66,21 @@ StatusOr<LogisticModel> TrainLogistic(
 
   std::vector<double> w(dim, 0.0);
   double b = 0.0;
-  Rng rng(options.seed);
+  Rng rng(kShuffleSeed);
   std::vector<size_t> order(examples.size());
   std::iota(order.begin(), order.end(), size_t{0});
 
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
+  for (int epoch = 0; epoch < kEpochs; ++epoch) {
     rng.Shuffle(&order);
     const double lr =
-        options.learning_rate / (1.0 + 0.05 * static_cast<double>(epoch));
+        kLearningRate / (1.0 + 0.05 * static_cast<double>(epoch));
     for (size_t idx : order) {
       const std::vector<double>& x = examples[idx];
       double z = b;
       for (size_t i = 0; i < dim; ++i) z += w[i] * x[i];
       const double grad = Sigmoid(z) - static_cast<double>(labels[idx]);
       for (size_t i = 0; i < dim; ++i) {
-        w[i] -= lr * (grad * x[i] + options.l2 * w[i]);
+        w[i] -= lr * (grad * x[i] + kL2 * w[i]);
       }
       b -= lr * grad;
     }

@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "common/rng.h"
 #include "common/status.h"
 
 namespace topkdup::learn {
@@ -32,19 +31,14 @@ class LogisticModel {
   double bias_ = 0.0;
 };
 
-struct LogisticTrainOptions {
-  int epochs = 200;
-  double learning_rate = 0.5;
-  double l2 = 1e-4;
-  uint64_t seed = 17;
-};
-
 /// Trains by mini-batch-free SGD with L2 regularization over the given
-/// examples. `labels[i]` is 1 (duplicate) or 0. Errors on empty or
-/// inconsistent input or single-class labels.
+/// examples: 200 epochs in a seeded shuffled order, learning rate 0.5
+/// decaying as 0.5 / (1 + 0.05 * epoch), L2 weight 1e-4. `labels[i]` is
+/// 1 (duplicate) or 0. Errors on empty or inconsistent input or
+/// single-class labels.
 StatusOr<LogisticModel> TrainLogistic(
     const std::vector<std::vector<double>>& examples,
-    const std::vector<int>& labels, const LogisticTrainOptions& options = {});
+    const std::vector<int>& labels);
 
 }  // namespace topkdup::learn
 

@@ -7,10 +7,18 @@
 
 namespace topkdup::lp {
 
+namespace {
+
+constexpr int kMaxIterations = 200000;
+constexpr double kEpsilon = 1e-9;
+/// Refuse problems whose dense tableau would exceed this many doubles.
+constexpr size_t kMaxTableauCells = 200u * 1000u * 1000u;
+
+}  // namespace
+
 StatusOr<LpResult> SolveLp(int num_vars,
                            const std::vector<double>& objective,
-                           const std::vector<Constraint>& constraints,
-                           const LpOptions& options) {
+                           const std::vector<Constraint>& constraints) {
   if (num_vars <= 0) {
     return Status::InvalidArgument("SolveLp: num_vars must be positive");
   }
@@ -20,7 +28,7 @@ StatusOr<LpResult> SolveLp(int num_vars,
   const size_t m = constraints.size();
   const size_t n = static_cast<size_t>(num_vars);
   const size_t width = n + m + 1;  // Structural vars, slacks, rhs.
-  if ((m + 1) * width > options.max_tableau_cells) {
+  if ((m + 1) * width > kMaxTableauCells) {
     return Status::ResourceExhausted(
         StrFormat("SolveLp: tableau %zux%zu too large", m + 1, width));
   }
@@ -46,11 +54,11 @@ StatusOr<LpResult> SolveLp(int num_vars,
   std::vector<size_t> basis(m);
   for (size_t r = 0; r < m; ++r) basis[r] = n + r;
 
-  const double eps = options.epsilon;
+  const double eps = kEpsilon;
   int iterations = 0;
   int degenerate_streak = 0;
   while (true) {
-    if (++iterations > options.max_iterations) {
+    if (++iterations > kMaxIterations) {
       return Status::Internal("SolveLp: iteration cap exceeded");
     }
     // Pricing: Dantzig (most negative reduced cost); Bland (lowest index)

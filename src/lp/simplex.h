@@ -15,13 +15,6 @@ struct Constraint {
   double rhs = 0.0;
 };
 
-struct LpOptions {
-  int max_iterations = 200000;
-  double epsilon = 1e-9;
-  /// Refuse problems whose dense tableau would exceed this many doubles.
-  size_t max_tableau_cells = 200u * 1000u * 1000u;
-};
-
 struct LpResult {
   std::vector<double> x;
   double objective = 0.0;
@@ -32,12 +25,12 @@ struct LpResult {
 /// by primal simplex on a dense tableau (Dantzig pricing with a Bland
 /// fallback against cycling). Intended for the moderate-size LPs of the
 /// correlation-clustering relaxation; returns ResourceExhausted when the
-/// tableau would be too large and Internal if the iteration cap is hit.
+/// tableau would exceed 200M doubles and Internal if 200k pivots do not
+/// reach the optimum.
 /// The feasible region is always bounded in our use (every variable is
 /// boxed), so unboundedness is reported as Internal too.
 StatusOr<LpResult> SolveLp(int num_vars, const std::vector<double>& objective,
-                           const std::vector<Constraint>& constraints,
-                           const LpOptions& options = {});
+                           const std::vector<Constraint>& constraints);
 
 }  // namespace topkdup::lp
 

@@ -49,7 +49,7 @@ struct LevelCollapseExplain {
 
 /// One CPN lower-bound evaluation while locating m (§4.2): the prefix
 /// size probed, the clique-partition bound it certified, and which search
-/// phase asked ("gallop", "binary_search", or "linear").
+/// phase asked ("gallop" or "binary_search").
 struct CpnProbeExplain {
   size_t prefix = 0;
   int bound = 0;

@@ -31,6 +31,10 @@ constexpr int kMaxFrames = 48;
 /// time so stacks start at the interrupted frame.
 constexpr int kSkipFrames = 2;
 constexpr int kStripes = 16;
+/// Preallocated sample slots across all stripes; samples beyond this are
+/// counted as dropped, never buffered. 65536 slots ≈ 25 MB and eleven
+/// minutes of 99 Hz samples.
+constexpr size_t kMaxSamples = 65536;
 
 struct Sample {
   void* frames[kMaxFrames];
@@ -215,10 +219,8 @@ Status Profiler::Start(const ProfilerOptions& options) {
     return Status::FailedPrecondition("profiler already armed");
   }
   const int hz = std::clamp(options.hz, 1, 1000);
-  const size_t max_samples =
-      std::clamp<size_t>(options.max_samples, kStripes, 1u << 22);
   const uint32_t per_stripe =
-      static_cast<uint32_t>((max_samples + kStripes - 1) / kStripes);
+      static_cast<uint32_t>((kMaxSamples + kStripes - 1) / kStripes);
   for (Stripe& stripe : g_stripes) {
     stripe.slab.assign(per_stripe, Sample{});
     stripe.slots = stripe.slab.data();

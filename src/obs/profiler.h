@@ -15,10 +15,6 @@ struct ProfilerOptions {
   /// nothing). 99 Hz, the pprof convention, avoids lockstep with 100 Hz
   /// periodic work. Clamped to [1, 1000].
   int hz = 99;
-  /// Preallocated sample slots across all stripes; samples beyond this
-  /// are counted as dropped, never buffered. 65536 slots ≈ 25 MB and
-  /// eleven minutes of 99 Hz samples.
-  size_t max_samples = 65536;
 };
 
 /// On-demand SIGPROF sampling CPU profiler for the resident process,

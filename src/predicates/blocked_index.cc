@@ -13,6 +13,7 @@
 #include <limits>
 
 #include "common/crc32.h"
+#include "common/hash.h"
 #include "common/metrics.h"
 
 namespace topkdup::predicates {
@@ -79,15 +80,6 @@ struct IndexHeader {
   uint32_t header_crc32;
 };
 static_assert(sizeof(IndexHeader) == kHeaderSize, "serialized layout");
-
-uint64_t Fnv1a(std::string_view s) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 size_t Align8(size_t offset) { return (offset + 7) & ~size_t{7}; }
 

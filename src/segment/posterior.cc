@@ -112,17 +112,4 @@ StatusOr<double> LogAnswerMass(const SegmentScorer& scorer,
   return alpha[n];
 }
 
-StatusOr<double> AnswerPosterior(const SegmentScorer& scorer,
-                                 const std::vector<size_t>& order,
-                                 const std::vector<double>& weights,
-                                 const TopKAnswer& answer,
-                                 const PosteriorOptions& options) {
-  TOPKDUP_ASSIGN_OR_RETURN(
-      double log_mass,
-      LogAnswerMass(scorer, order, weights, answer, options));
-  const double log_z = LogPartitionFunction(scorer, options);
-  if (log_mass == kNegInf) return 0.0;
-  return std::exp(log_mass - log_z);
-}
-
 }  // namespace topkdup::segment

@@ -32,20 +32,14 @@ double LogPartitionFunction(const SegmentScorer& scorer,
 /// answer: the answer's spans appear as segments, and every other segment
 /// weighs at most the answer's threshold (so the answer spans are the K
 /// largest groups). Returns -inf when no consistent segmentation exists.
+/// The answer's posterior probability is exp(LogAnswerMass - LogZ): the
+/// paper's "R most probable answers" semantics made exact within the
+/// segmentation space.
 StatusOr<double> LogAnswerMass(const SegmentScorer& scorer,
                                const std::vector<size_t>& order,
                                const std::vector<double>& weights,
                                const TopKAnswer& answer,
                                const PosteriorOptions& options = {});
-
-/// Posterior probability of the answer: exp(LogAnswerMass - LogZ).
-/// This is the paper's "R most probable answers" semantics made exact
-/// within the segmentation space.
-StatusOr<double> AnswerPosterior(const SegmentScorer& scorer,
-                                 const std::vector<size_t>& order,
-                                 const std::vector<double>& weights,
-                                 const TopKAnswer& answer,
-                                 const PosteriorOptions& options = {});
 
 }  // namespace topkdup::segment
 

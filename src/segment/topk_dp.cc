@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <unordered_set>
@@ -20,8 +21,8 @@ constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 struct Entry {
   double score = kNegInf;
   uint32_t prev_i = 0;    // Cell position the last segment started from.
-  uint8_t prev_rank = 0;  // Entry rank within the predecessor cell.
-  bool answer = false;    // Last segment designated an answer segment.
+  uint16_t prev_rank = 0;  // Entry rank within the predecessor cell.
+  bool answer = false;     // Last segment designated an answer segment.
 };
 
 /// Keeps the top-r entries of a cell, highest score first.
@@ -80,7 +81,7 @@ cluster::Labels SpansToLabels(const std::vector<Span>& spans,
 
 std::vector<Segmentation> BestSegmentations(const SegmentScorer& scorer,
                                             int r) {
-  TOPKDUP_CHECK(r >= 1);
+  TOPKDUP_CHECK(r >= 1 && r <= kMaxDpRanks);
   const size_t n = scorer.size();
   const size_t band = scorer.band();
   std::vector<Segmentation> out;
@@ -100,7 +101,7 @@ std::vector<Segmentation> BestSegmentations(const SegmentScorer& scorer,
         Entry e;
         e.score = prev[rank].score + seg;
         e.prev_i = static_cast<uint32_t>(i - j);
-        e.prev_rank = static_cast<uint8_t>(rank);
+        e.prev_rank = static_cast<uint16_t>(rank);
         PushEntry(&cells[i], e, r);
       }
     }
@@ -132,7 +133,10 @@ StatusOr<std::vector<TopKAnswer>> TopKSegmentation(
   const int k = options.k;
   const int r = options.r;
   if (k < 1) return Status::InvalidArgument("TopKSegmentation: k must be >= 1");
-  if (r < 1) return Status::InvalidArgument("TopKSegmentation: r must be >= 1");
+  if (r < 1 || r > kMaxDpRanks) {
+    return Status::InvalidArgument(StrFormat(
+        "TopKSegmentation: r must be in [1, %d]", kMaxDpRanks));
+  }
   if (order.size() != n || weights.size() < n) {
     return Status::InvalidArgument(
         "TopKSegmentation: order/weights sizes do not match the scorer");
@@ -198,7 +202,7 @@ StatusOr<std::vector<TopKAnswer>> TopKSegmentation(
             Entry e;
             e.score = prev[rank].score + seg_score;
             e.prev_i = static_cast<uint32_t>(i - j);
-            e.prev_rank = static_cast<uint8_t>(rank);
+            e.prev_rank = static_cast<uint16_t>(rank);
             e.answer = is_answer;
             PushEntry(&cells[kk][i], e, r);
           }

@@ -37,6 +37,10 @@ struct TopKAnswer {
   double threshold = 0.0;
 };
 
+/// Largest R either DP accepts: a cell's entries are addressed by a
+/// 16-bit rank.
+inline constexpr int kMaxDpRanks = 1 << 16;
+
 struct TopKDpOptions {
   int k = 1;
   int r = 1;
@@ -60,8 +64,8 @@ struct TopKDpOptions {
 /// `weights[item]` is each item's weight (e.g. collapsed-group weight);
 /// pass all-ones for plain mention counts. Returns up to R answers sorted
 /// by decreasing score; fewer when the order admits fewer than R distinct
-/// qualifying segmentations. Errors when k < 1, r < 1, or the order cannot
-/// produce K segments.
+/// qualifying segmentations. Errors when k < 1, r is outside
+/// [1, kMaxDpRanks], or the order cannot produce K segments.
 ///
 /// `ctx.deadline`, when non-null, is polled per candidate threshold and
 /// per DP row (the DP is serial, so both checks are deterministic under a
@@ -77,7 +81,7 @@ StatusOr<std::vector<TopKAnswer>> TopKSegmentation(
 /// The R highest-scoring *unconstrained* segmentations (no TopK answer
 /// designation) — the partition-quality workhorse used by the fig7
 /// accuracy comparison. Returns up to `r` segmentations sorted by
-/// decreasing score.
+/// decreasing score; `r` must lie in [1, kMaxDpRanks].
 struct Segmentation {
   double score = 0.0;
   std::vector<Span> spans;

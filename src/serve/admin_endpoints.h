@@ -10,9 +10,9 @@ namespace topkdup::serve {
 /// `server` (call before server.Start(); `service` must outlive it):
 ///
 ///   /metrics        Prometheus text: the full global registry through
-///                   metrics::PrometheusText with the default label rules
-///                   (per-dataset breaker state, per-reason sheds, and
-///                   per-endpoint admin counters render as labeled series).
+///                   metrics::PrometheusText (per-dataset breaker state,
+///                   per-reason sheds, and per-endpoint admin counters
+///                   render as labeled series).
 ///   /healthz        Liveness: 200 "ok" while the process serves at all.
 ///   /readyz         Readiness from QueryService::Health().ready — 200
 ///                   "ready" or 503 "unready" (breakers all open, or no

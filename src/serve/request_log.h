@@ -50,10 +50,6 @@ struct RequestLogOptions {
   /// slow capture is enabled (ExplainReport section summaries stay exact
   /// at any rate).
   double slow_explain_sample_rate = 0.1;
-  /// Most recent emitted lines kept in memory for /debug/queries.
-  size_t recent_capacity = 256;
-  /// Captured slow-query explain reports kept for /debug/queries.
-  size_t slow_capacity = 32;
   /// Rotation threshold for the JSONL sink: once the current file
   /// exceeds this many bytes after a write, it is renamed to
   /// "<path>.1" (replacing any previous rotation) and a fresh file is

@@ -3,18 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/hash.h"
+
 namespace topkdup::serve {
-
-namespace {
-
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 int64_t RetryPolicy::BackoffMillis(uint64_t request_id, int attempt) const {
   if (attempt < 1) return 0;

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/faultpoint.h"
+#include "common/hash.h"
 #include "common/log.h"
 #include "common/parallel.h"
 #include "common/resource_meter.h"
@@ -50,11 +51,7 @@ bool ValidDatasetName(std::string_view name) {
 /// predicate name, in hex, so distinct predicates of one dataset never
 /// collide and the name survives process restarts.
 std::string PredFileTag(const predicates::PairPredicate& pred) {
-  uint64_t hash = 1469598103934665603ull;
-  for (char c : pred.name()) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
+  const uint64_t hash = Fnv1a(pred.name());
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(hash));

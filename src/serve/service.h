@@ -139,8 +139,9 @@ struct QueryResponse {
   uint64_t epoch_mentions = 0;
   /// Answer-cache disposition: "hit" (current-epoch, bit-identical to
   /// recomputing), "stale_hit" (older epoch, bounds widened), "miss"
-  /// (executed), or empty when the cache was not consulted (static
-  /// datasets, rank queries, cache disabled).
+  /// (executed), or empty when the cache was not consulted: rank queries,
+  /// breaker probes, requests refused before the lookup, or the cache
+  /// disabled. Static count queries consult it too, with epoch 0.
   std::string cache;
   /// Published weight ingested since the cached epoch — the amount
   /// count_upper was widened by (nonzero only for stale serves).

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/bytes.h"
 #include "common/check.h"
 #include "common/crc32.h"
 #include "common/faultpoint.h"
@@ -27,28 +28,6 @@ metrics::Counter& EpochsPublishedCounter() {
   static metrics::Counter* c =
       metrics::Registry::Global().GetCounter("online.epochs_published");
   return *c;
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-void PutF64(std::string* out, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <tuple>
 
-#include "common/check.h"
 #include "common/deadline.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
@@ -17,7 +16,6 @@ cluster::PairScores BuildGroupPairScores(
     const std::vector<dedup::Group>& groups,
     const predicates::PairPredicate& necessary, const PairScoreFn& scorer,
     const PairScoringOptions& options, const QueryContext& ctx) {
-  TOPKDUP_CHECK(options.default_score <= 0.0);
   const Deadline* deadline = ctx.deadline;
   const size_t n = groups.size();
   trace::Span span("topk.pair_scores");
@@ -32,7 +30,7 @@ cluster::PairScores BuildGroupPairScores(
   std::vector<size_t> reps(n);
   for (size_t i = 0; i < n; ++i) reps[i] = groups[i].rep;
 
-  cluster::PairScores scores(n, options.default_score);
+  cluster::PairScores scores(n, kDefaultPairScore);
   const predicates::IndexHandle index_handle(options.index_cache, necessary,
                                              reps);
   const predicates::BlockedIndex& index = index_handle.get();

@@ -22,12 +22,13 @@ namespace topkdup::topk {
 /// corpus qualify).
 using PairScoreFn = std::function<double(size_t, size_t)>;
 
+/// Score for pairs failing the necessary predicate. These pairs are
+/// certain non-duplicates, so a mild repulsion rewards keeping them in
+/// separate groups and stops the segmentation DP from absorbing unrelated
+/// neighbors into answer segments for free.
+inline constexpr double kDefaultPairScore = -0.25;
+
 struct PairScoringOptions {
-  /// Score for pairs failing the necessary predicate (must be <= 0).
-  /// These pairs are certain non-duplicates, so a mild repulsion rewards
-  /// keeping them in separate groups and stops the segmentation DP from
-  /// absorbing unrelated neighbors into answer segments for free.
-  double default_score = -0.25;
   /// When non-null, shares the blocking index over the group
   /// representatives across calls (resident serving); null builds a
   /// call-local index.

@@ -110,6 +110,12 @@ StatusOr<TopKCountResult> TopKCountQuery(
   if (options.r < 1) {
     return Status::InvalidArgument("TopKCountQuery: r must be >= 1");
   }
+  if (options.r > segment::kMaxDpRanks / 3) {
+    return Status::InvalidArgument(StrFormat(
+        "TopKCountQuery: r=%d exceeds %d (the segmentation DP ranks 3r "
+        "answers)",
+        options.r, segment::kMaxDpRanks / 3));
+  }
   if (!(options.embedding_alpha > 0.0 && options.embedding_alpha <= 1.0)) {
     return Status::InvalidArgument(
         "TopKCountQuery: embedding_alpha must be in (0, 1]");
@@ -118,10 +124,6 @@ StatusOr<TopKCountResult> TopKCountQuery(
       !(options.posterior_temperature > 0.0)) {
     return Status::InvalidArgument(
         "TopKCountQuery: posterior_temperature must be > 0");
-  }
-  if (!(options.scoring.default_score <= 0.0)) {
-    return Status::InvalidArgument(
-        "TopKCountQuery: scoring.default_score must be <= 0");
   }
   if (!scorer) {
     return Status::InvalidArgument("TopKCountQuery: scorer must be set");

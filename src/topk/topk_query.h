@@ -71,7 +71,8 @@ struct TopKCountResult {
 
 struct TopKCountOptions {
   int k = 10;
-  /// Number of plausible answers to return (the paper's R).
+  /// Number of plausible answers to return (the paper's R); at most
+  /// segment::kMaxDpRanks / 3, since the DP is asked for 3R.
   int r = 1;
   int prune_passes = 2;
   /// Linear-embedding aging factor (Eq. 3).

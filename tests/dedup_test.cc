@@ -13,6 +13,8 @@
 #include "dedup/prune.h"
 #include "dedup/pruned_dedup.h"
 #include "dedup/union_find.h"
+#include "graph/clique_partition.h"
+#include "graph/graph.h"
 #include "predicates/address.h"
 #include "predicates/citation.h"
 #include "predicates/corpus.h"
@@ -150,21 +152,36 @@ TEST_F(LowerBoundTest, GallopingMatchesLinearScan) {
         {"d e", 4.0},
         {"z", 3.0}});
   auto groups = MakeSingletonGroups(data_);
+  // Reference: the one-vertex-at-a-time scan. Every prefix's graph is
+  // built from all pairs and bounded by the same rule as
+  // EstimateLowerBound (greedy IS, then min-fill when it falls short).
+  auto linear_min = [&](int k) -> size_t {
+    for (size_t m = static_cast<size_t>(k); m <= groups.size(); ++m) {
+      graph::Graph g(m);
+      for (size_t b = 1; b < m; ++b) {
+        for (size_t a = 0; a < b; ++a) {
+          if (necessary_->Evaluate(groups[b].rep, groups[a].rep)) {
+            g.AddEdge(a, b);
+          }
+        }
+      }
+      const int bound =
+          std::max(graph::GreedyIndependentSetBound(g, k),
+                   graph::CliquePartitionLowerBound(g, k));
+      if (bound >= k) return m;
+    }
+    return 0;
+  };
   for (int k = 1; k <= 4; ++k) {
-    LowerBoundOptions gallop;
-    gallop.galloping = true;
-    LowerBoundOptions linear;
-    linear.galloping = false;
-    const LowerBoundResult a =
-        EstimateLowerBound(groups, *necessary_, k, gallop);
-    const LowerBoundResult b =
-        EstimateLowerBound(groups, *necessary_, k, linear);
-    EXPECT_EQ(a.certified, b.certified) << "k=" << k;
-    // Both must certify at a valid prefix; the galloping variant may in
+    const LowerBoundResult a = EstimateLowerBound(groups, *necessary_, k);
+    const size_t linear_m = linear_min(k);
+    EXPECT_EQ(a.certified, linear_m != 0) << "k=" << k;
+    ASSERT_NE(linear_m, 0u) << "k=" << k;
+    // Both must certify at a valid prefix; the galloping search may in
     // rare non-monotone cases land one step later but never earlier than
     // the linear scan's minimum.
-    EXPECT_GE(a.m, b.m) << "k=" << k;
-    EXPECT_LE(a.M, b.M + 1e-12) << "k=" << k;
+    EXPECT_GE(a.m, linear_m) << "k=" << k;
+    EXPECT_LE(a.M, groups[linear_m - 1].weight + 1e-12) << "k=" << k;
   }
 }
 
@@ -175,19 +192,12 @@ TEST_F(LowerBoundTest, AllBoundModesAreValidAndAgreeHere) {
         {"x", 6.0},
         {"y", 5.0}});
   auto groups = MakeSingletonGroups(data_);
-  for (auto bound : {LowerBoundOptions::Bound::kMinFill,
-                     LowerBoundOptions::Bound::kGreedyIs,
-                     LowerBoundOptions::Bound::kAuto}) {
-    LowerBoundOptions options;
-    options.bound = bound;
-    const LowerBoundResult lb =
-        EstimateLowerBound(groups, *necessary_, 2, options);
-    EXPECT_TRUE(lb.certified);
-    // "a b"/"b c" chain; "x" is certainly distinct from the chain, so two
-    // entities are certified within the first four groups at the latest.
-    EXPECT_LE(lb.m, 4u);
-    EXPECT_GE(lb.M, 6.0);
-  }
+  const LowerBoundResult lb = EstimateLowerBound(groups, *necessary_, 2);
+  EXPECT_TRUE(lb.certified);
+  // "a b"/"b c" chain; "x" is certainly distinct from the chain, so two
+  // entities are certified within the first four groups at the latest.
+  EXPECT_LE(lb.m, 4u);
+  EXPECT_GE(lb.M, 6.0);
 }
 
 TEST_F(LowerBoundTest, FewerGroupsThanK) {

@@ -40,17 +40,15 @@ TEST_F(PairScoringTest, OnlyNecessaryTruePairsAreScored) {
     ++scorer_calls;
     return 1.5;
   };
-  PairScoringOptions options;
-  options.default_score = -0.5;
   cluster::PairScores scores =
-      BuildGroupPairScores(groups_, *necessary_, scorer, options);
+      BuildGroupPairScores(groups_, *necessary_, scorer);
   EXPECT_EQ(scorer_calls, 1);  // Only the alpha pair.
   EXPECT_EQ(scores.stored_pair_count(), 1u);
-  EXPECT_DOUBLE_EQ(scores.default_score(), -0.5);
+  EXPECT_DOUBLE_EQ(scores.default_score(), kDefaultPairScore);
   // Groups are sorted by weight desc: delta(5)=0, alpha gamma(3)=1,
   // alpha beta(2)=2; the stored pair links positions 1 and 2.
   EXPECT_DOUBLE_EQ(scores.Get(1, 2), 1.5);
-  EXPECT_DOUBLE_EQ(scores.Get(0, 1), -0.5);
+  EXPECT_DOUBLE_EQ(scores.Get(0, 1), kDefaultPairScore);
 }
 
 }  // namespace

@@ -153,14 +153,15 @@ TEST(AnswerPosteriorTest, ProbabilitiesAreSane) {
   auto answers = TopKSegmentation(scorer, order, weights, dp_options);
   ASSERT_TRUE(answers.ok());
   double total = 0.0;
-  
+  const double log_z = LogPartitionFunction(scorer);
   for (const TopKAnswer& answer : answers.value()) {
-    auto p = AnswerPosterior(scorer, order, weights, answer);
-    ASSERT_TRUE(p.ok());
-    EXPECT_GT(p.value(), 0.0);
-    EXPECT_LE(p.value(), 1.0);
-    total += p.value();
-  
+    // Posterior = exp(LogAnswerMass - LogZ), as TopKCountQuery computes it.
+    auto mass = LogAnswerMass(scorer, order, weights, answer);
+    ASSERT_TRUE(mass.ok());
+    const double p = std::exp(mass.value() - log_z);
+    EXPECT_GT(p, 0.0);
+    EXPECT_LE(p, 1.0);
+    total += p;
   }
   // Distinct answers cannot over-account the probability space by much
   // (they may share segmentations only if one answer's spans are a subset

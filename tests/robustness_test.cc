@@ -100,6 +100,18 @@ TEST_F(RobustnessTest, RBelowOneIsInvalidArgument) {
                 "r must be >= 1");
 }
 
+TEST_F(RobustnessTest, RBeyondTheDpRankWidthIsInvalidArgument) {
+  // The segmentation DP is asked for 3r answers, each addressed by a
+  // 16-bit rank.
+  ExpectInvalid(QueryStatus([](TopKCountOptions& o) {
+                  o.r = segment::kMaxDpRanks / 3 + 1;
+                }),
+                "r=");
+  EXPECT_TRUE(QueryStatus([](TopKCountOptions& o) {
+                o.r = segment::kMaxDpRanks / 3;
+              }).ok());
+}
+
 TEST_F(RobustnessTest, KLargerThanDatasetIsInvalidArgument) {
   ExpectInvalid(QueryStatus([](TopKCountOptions& o) { o.k = 1000; }),
                 "exceeds");
@@ -149,13 +161,6 @@ TEST_F(RobustnessTest, BadPosteriorTemperatureIsInvalidArgument) {
   EXPECT_TRUE(QueryStatus([](TopKCountOptions& o) {
                 o.posterior_temperature = 0.0;
               }).ok());
-}
-
-TEST_F(RobustnessTest, PositiveDefaultScoreIsInvalidArgument) {
-  ExpectInvalid(QueryStatus([](TopKCountOptions& o) {
-                  o.scoring.default_score = 0.5;
-                }),
-                "default_score");
 }
 
 TEST_F(RobustnessTest, NullScorerIsInvalidArgument) {
@@ -277,7 +282,9 @@ TEST(EnvKnobRobustnessTest, GarbageThreadsEnvWarnsAndKeepsHardwareDefault) {
   }
   // The warning is emitted once per process; an earlier test may have
   // consumed it, so only require it when this was the first offender.
-  if (!warnings.empty()) EXPECT_TRUE(mentioned);
+  if (!warnings.empty()) {
+    EXPECT_TRUE(mentioned);
+  }
 
   env.Set("3");
   EXPECT_EQ(ParallelismLevel(), 3);  // Valid values still apply.

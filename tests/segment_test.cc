@@ -237,6 +237,107 @@ TEST(TopKSegmentationTest, Top1IsBestAmongQualifyingBruteForce) {
   EXPECT_NEAR(answers.value()[0].score, best, 1e-9);
 }
 
+TEST(TopKSegmentationTest, TopRMatchesQualifyingBruteForceRankByRank) {
+  // Every segmentation whose k heaviest segments strictly outweigh the
+  // rest is a candidate answer; with the exact threshold set the DP must
+  // return the R best candidate scores, rank by rank.
+  Rng rng(29);
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t n = 6 + rng.Uniform(7);
+    const size_t band = 2 + rng.Uniform(4);
+    const int k = 1 + static_cast<int>(rng.Uniform(3));
+    const int r = 1 + static_cast<int>(rng.Uniform(6));
+    PairScores scores = RandomScores(&rng, n, 1.0);
+    const std::vector<size_t> order = Identity(n);
+    std::vector<double> weights(n);
+    for (auto& w : weights) w = 1.0 + rng.Uniform(4);
+    SegmentScorer scorer(scores, order, band);
+    TopKDpOptions options;
+    options.k = k;
+    options.r = r;
+    options.band = band;
+    options.max_thresholds = 0;
+    auto answers = TopKSegmentation(scorer, order, weights, options);
+    ASSERT_TRUE(answers.ok()) << "trial " << trial;
+
+    std::vector<double> qualifying;
+    for (uint32_t mask = 0; mask < (1u << (n - 1)); ++mask) {
+      double total = 0.0;
+      std::vector<double> segment_weights;
+      size_t start = 0;
+      bool valid = true;
+      for (size_t i = 0; i < n; ++i) {
+        if (i != n - 1 && !(mask & (1u << i))) continue;
+        if (i - start + 1 > band) {
+          valid = false;
+          break;
+        }
+        total += SegScoreDirect(scores, order, start, i);
+        double w = 0.0;
+        for (size_t p = start; p <= i; ++p) w += weights[order[p]];
+        segment_weights.push_back(w);
+        start = i + 1;
+      }
+      if (!valid || segment_weights.size() < static_cast<size_t>(k)) continue;
+      std::sort(segment_weights.rbegin(), segment_weights.rend());
+      if (segment_weights.size() > static_cast<size_t>(k) &&
+          segment_weights[k - 1] <= segment_weights[k]) {
+        continue;
+      }
+      qualifying.push_back(total);
+    }
+    std::sort(qualifying.rbegin(), qualifying.rend());
+    const size_t expected =
+        std::min(qualifying.size(), static_cast<size_t>(r));
+    ASSERT_EQ(answers.value().size(), expected) << "trial " << trial;
+    for (size_t i = 0; i < expected; ++i) {
+      EXPECT_NEAR(answers.value()[i].score, qualifying[i], 1e-9)
+          << "trial " << trial << " rank " << i;
+    }
+  }
+}
+
+TEST(TopKSegmentationTest, WideRankBacktracksToItsOwnSpans) {
+  // r far above 255: each answer's backtracked spans must sum to the
+  // score the DP reports for it, in both DPs.
+  Rng rng(31);
+  const size_t n = 60;
+  const size_t band = 8;
+  PairScores scores(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < std::min(n, i + 3); ++j) {
+      scores.Set(i, j, (rng.NextDouble() - 0.45) * 4.0);
+    }
+  }
+  const std::vector<size_t> order = Identity(n);
+  SegmentScorer scorer(scores, order, band);
+  const int r = 600;
+  auto span_sum = [&](const std::vector<Span>& spans) {
+    double total = 0.0;
+    for (const Span& s : spans) total += scorer.Score(s.begin, s.end);
+    return total;
+  };
+
+  const std::vector<Segmentation> segs = BestSegmentations(scorer, r);
+  ASSERT_EQ(segs.size(), static_cast<size_t>(r));
+  for (size_t i = 0; i < segs.size(); ++i) {
+    EXPECT_NEAR(span_sum(segs[i].spans), segs[i].score, 1e-9) << "rank " << i;
+  }
+
+  std::vector<double> weights(n, 1.0);
+  TopKDpOptions options;
+  options.k = 2;
+  options.r = r;
+  options.band = band;
+  auto answers = TopKSegmentation(scorer, order, weights, options);
+  ASSERT_TRUE(answers.ok());
+  ASSERT_EQ(answers.value().size(), static_cast<size_t>(r));
+  for (size_t i = 0; i < answers.value().size(); ++i) {
+    const TopKAnswer& ans = answers.value()[i];
+    EXPECT_NEAR(span_sum(ans.segmentation), ans.score, 1e-9) << "rank " << i;
+  }
+}
+
 // Direct (non-incremental) computation of the min-pair objective.
 double MinPairScoreDirect(const PairScores& scores,
                           const std::vector<size_t>& order, size_t i,
@@ -311,6 +412,8 @@ TEST(TopKSegmentationTest, ErrorsOnBadArguments) {
   EXPECT_FALSE(TopKSegmentation(scorer, order, weights, options).ok());
   options.k = 1;
   options.r = 0;
+  EXPECT_FALSE(TopKSegmentation(scorer, order, weights, options).ok());
+  options.r = kMaxDpRanks + 1;  // Ranks are stored in 16 bits.
   EXPECT_FALSE(TopKSegmentation(scorer, order, weights, options).ok());
 }
 
